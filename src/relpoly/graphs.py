@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 from .errors import BudgetError, GraphFormatError
 
@@ -255,74 +256,139 @@ def _neighbor_lists(n, mult):
     return nbrs
 
 
-def _refine(n, nbrs, colors):
-    """Stable color refinement; returns dense colors sorted by invariant keys."""
-    ncolors = len(set(colors))
+def _refine(n, nbrs, cells):
+    """Stable refinement of an ordered partition (cells of ascending
+    vertices).  Each round splits every cell by the signatures of its
+    vertices, the sorted (neighbor cell index, multiplicity) pairs, and puts
+    the parts in place of the cell in signature order, so the cell order
+    depends only on invariants."""
     while True:
-        sigs = []
-        for v in range(n):
-            row = sorted((colors[u], c) for u, c in nbrs[v])
-            sigs.append((colors[v], tuple(row)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == ncolors:
-            return colors
-        ncolors = len(rank)
+        colors = [0] * n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            sigs = [tuple(sorted([(colors[u], c) for u, c in nbrs[v]])) for v in cell]
+            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            if len(rank) == 1:
+                split.append(cell)
+                continue
+            parts = [[] for _ in rank]
+            for v, sig in zip(cell, sigs):
+                parts[rank[sig]].append(v)
+            split.extend(parts)
+        if len(split) == len(cells):
+            return cells
+        cells = split
 
 
-def _cells_of(colors):
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
+def _initial_cells(n, nbrs, loops):
+    """Refined partition by loop count and sorted incident multiplicities."""
+    cells: dict[tuple, list[int]] = {}
+    for v in range(n):
+        key = (loops.get(v, 0), tuple(sorted(c for _, c in nbrs[v])))
+        cells.setdefault(key, []).append(v)
+    return _refine(n, nbrs, [cells[key] for key in sorted(cells)])
+
+
+def _orbit(seeds, gens):
+    """Closure of a vertex set under a list of permutations."""
+    orbit = set(seeds)
+    stack = list(seeds)
+    while stack:
+        v = stack.pop()
+        for gen in gens:
+            w = gen[v]
+            if w not in orbit:
+                orbit.add(w)
+                stack.append(w)
+    return orbit
 
 
 def _canon_search(n, mult, loops):
-    """Minimal certificate encoding and one permutation achieving it.
+    """Minimal certificate, one labeling achieving it, and Aut generators.
 
-    Returns (cert_bytes, position_to_vertex).  Certificates of isomorphic
-    graphs are equal because refinement and cell choice use only invariants.
+    Returns (cert_bytes, position_to_vertex, generators), each generator a
+    tuple mapping vertex v to its image.  The search individualizes each
+    vertex of the first non-singleton cell and refines; every discrete
+    partition reached (a leaf) orders the vertices, and the certificate is
+    the least encoding over all leaves.  Refinement and cell choice use only
+    invariants, so certificates of isomorphic graphs are equal.
+
+    Automorphisms prune the tree (McKay & Piperno, "Practical graph
+    isomorphism II", 2014).  A leaf encoding like the first or the best leaf
+    so far yields an automorphism; it maps the earlier leaf's subtree, below
+    the deepest node the two paths share, onto the current one, so the
+    search backtracks straight to that node.  At a node reached by
+    individualizing v1..vk, a branch vertex in the orbit of an explored
+    sibling, under the automorphisms found so far that fix v1..vk, roots an
+    image of that sibling's subtree and is skipped.  Every skipped leaf is
+    the image of a visited one under the found automorphisms, so the least
+    encoding is that of the unpruned search and the generators found
+    generate the whole automorphism group.
     """
-    if n == 0:
-        return bytes([0]), ()
     nbrs = _neighbor_lists(n, mult)
-    init_keys = sorted(
-        set((loops.get(v, 0), tuple(sorted(c for _, c in nbrs[v]))) for v in range(n))
-    )
-    rank = {k: i for i, k in enumerate(init_keys)}
-    colors0 = [rank[(loops.get(v, 0), tuple(sorted(c for _, c in nbrs[v])))] for v in range(n)]
-    colors0 = _refine(n, nbrs, colors0)
+    gens: list[tuple[int, ...]] = []
+    first = best = None  # (cert, order, path) of the first and the least leaf
 
-    # uniform complete multigraphs never split: any ordering is canonical
-    if len(set(colors0)) == 1 and len(mult) == n * (n - 1) // 2:
-        if len(set(mult.values())) <= 1 and len(set(loops.values()) | {0}) <= 1:
-            order = tuple(range(n))
-            return _encode(n, mult, loops, order), order
-
-    best: list = [None, None]
-
-    def encode_and_keep(colors):
-        order = tuple(v for _, v in sorted((colors[v], v) for v in range(n)))
+    def leaf(cells, path):
+        """Record a leaf; return the depth to backtrack to, or None."""
+        nonlocal first, best
+        order = [cell[0] for cell in cells]
         cert = _encode(n, mult, loops, order)
-        if best[0] is None or cert < best[0]:
-            best[0], best[1] = cert, order
+        if first is None:
+            first = best = (cert, order, path)
+            return None
+        for ref_cert, ref_order, ref_path in (first, best):
+            if cert == ref_cert:
+                image = [0] * n
+                for a, b in zip(ref_order, order):
+                    image[a] = b
+                gens.append(tuple(image))
+                depth = 0
+                while path[depth] == ref_path[depth]:
+                    depth += 1
+                return depth
+        if cert < best[0]:
+            best = (cert, order, path)
+        return None
 
-    def search(colors):
-        cells = _cells_of(colors)
-        target = next((c for c in cells if len(c) > 1), None)
-        if target is None:
-            encode_and_keep(colors)
-            return
+    def search(cells, path):
+        """Explore the node reached by individualizing path; return the depth
+        of the ancestor to backtrack to, or None once the subtree is done."""
+        at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if at is None:
+            return leaf(cells, path)
+        target = cells[at]
+        depth = len(path)
+        explored: list[int] = []
         for v in target:
-            branched = [2 * c + 1 for c in colors]
-            branched[v] = 2 * colors[v]
-            search(_refine(n, nbrs, branched))
+            if explored:
+                stabilizer = [g for g in gens if all(g[u] == u for u in path)]
+                if v in _orbit(explored, stabilizer):
+                    continue
+            explored.append(v)
+            rest = [u for u in target if u != v]
+            branched = cells[:at] + [[v], rest] + cells[at + 1 :]
+            back = search(_refine(n, nbrs, branched), path + (v,))
+            if back is not None and back < depth:
+                return back
+        return None
 
-    search(colors0)
-    return best[0], best[1]
+    search(_initial_cells(n, nbrs, loops), ())
+    return best[0], tuple(best[1]), tuple(gens)
 
 
 def _encode(n, mult, loops, order):
+    """Adjacency encoding under a vertex order: n, the loop counts, then the
+    upper triangle row by row.  One byte per value while every value is
+    below 256; otherwise a 0 byte, a width byte w, and w-byte big-endian
+    values.  The narrow form starts with the byte n, which is 0 only in the
+    one-byte certificate of the empty graph, so the forms never collide."""
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
@@ -330,18 +396,17 @@ def _encode(n, mult, loops, order):
     for v, c in loops.items():
         loop_row[pos[v]] = c
     tri = [0] * (n * (n - 1) // 2)
-    idx = {}
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = k
-            k += 1
     for (u, v), c in mult.items():
         pu, pv = pos[u], pos[v]
         if pu > pv:
             pu, pv = pv, pu
-        tri[idx[(pu, pv)]] = c
-    return bytes([n]) + bytes(loop_row) + bytes(tri)
+        tri[pu * (2 * n - pu - 1) // 2 + pv - pu - 1] = c
+    values = [n] + loop_row + tri
+    top = max(values)
+    if top < 256:
+        return bytes(values)
+    width = (top.bit_length() + 7) // 8
+    return bytes([0, width]) + b"".join(x.to_bytes(width, "big") for x in values)
 
 
 def _mult_and_loops(g: Graph):
@@ -352,21 +417,35 @@ def _mult_and_loops(g: Graph):
     return mult, loops
 
 
+class CanonicalLabeling(NamedTuple):
+    """Result of one canonical-labeling search of a graph."""
+
+    cert: bytes  # equal for two graphs exactly when they are isomorphic
+    order: tuple[int, ...]  # canonical position -> vertex
+    generators: tuple[tuple[int, ...], ...]  # generate Aut(G); vertex -> image
+
+    def positions(self) -> list[int]:
+        """vertex -> canonical position, the inverse of order."""
+        pos = [0] * len(self.order)
+        for p, v in enumerate(self.order):
+            pos[v] = p
+        return pos
+
+
+def canonical_labeling(g: Graph) -> CanonicalLabeling:
+    """Certificate, canonical order and automorphism generators of g."""
+    mult, loops = _mult_and_loops(g)
+    return CanonicalLabeling(*_canon_search(g.n, mult, loops))
+
+
 def canonical_form(g: Graph) -> bytes:
     """Certificate equal for two graphs exactly when they are isomorphic."""
-    mult, loops = _mult_and_loops(g)
-    cert, _ = _canon_search(g.n, mult, loops)
-    return cert
+    return canonical_labeling(g).cert
 
 
 def canonical_relabel(g: SimpleGraph) -> SimpleGraph:
     """The canonically labeled copy of g."""
-    mult, loops = _mult_and_loops(g)
-    _, order = _canon_search(g.n, mult, loops)
-    pos = [0] * g.n
-    for p, v in enumerate(order):
-        pos[v] = p
-    return g.relabel(pos)
+    return g.relabel(canonical_labeling(g).positions())
 
 
 def canonical_form_bruteforce(g: Graph) -> bytes:
@@ -385,13 +464,7 @@ def automorphism_count(g: Graph) -> int:
         return 1
     mult, loops = _mult_and_loops(g)
     nbrs = _neighbor_lists(n, mult)
-    init_keys = sorted(
-        set((loops.get(v, 0), tuple(sorted(c for _, c in nbrs[v]))) for v in range(n))
-    )
-    rank = {k: i for i, k in enumerate(init_keys)}
-    colors = [rank[(loops.get(v, 0), tuple(sorted(c for _, c in nbrs[v])))] for v in range(n)]
-    colors = _refine(n, nbrs, colors)
-    cells = _cells_of(colors)
+    cells = _initial_cells(n, nbrs, loops)
 
     def ok(perm) -> bool:
         for (u, v), c in mult.items():

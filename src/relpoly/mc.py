@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .counts import ntable_from_whitney, rel_eval, reliability
 from .graphs import SimpleGraph
 from .tutte import whitney
@@ -30,6 +28,8 @@ class McEstimate:
 def estimate(g: SimpleGraph, k: int, p, trials: int, seed: int) -> McEstimate:
     """Fraction of trials where keeping each edge with probability p leaves
     at most k components (components counted by union-find per trial)."""
+    import numpy as np  # deferred: importing numpy costs more than the CLI's own start-up
+
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p = {p} outside [0, 1]")

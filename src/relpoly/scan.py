@@ -23,9 +23,12 @@ from .counts import (
     t_k,
 )
 from .errors import BudgetError
-from .graphs import (
+# canonical_form and canonical_relabel are unused here but stay importable
+# from this module for outside code that looks them up on it
+from .graphs import (  # noqa: F401
     SimpleGraph,
     canonical_form,
+    canonical_labeling,
     canonical_relabel,
     to_graph6,
 )
@@ -54,25 +57,58 @@ class ClassSpec:
             )
 
 
+def _canonical_copy(g: SimpleGraph):
+    """(certificate, canonically labeled copy of g, generators of the copy's
+    automorphism group), all from one search."""
+    canon = canonical_labeling(g)
+    pos = canon.positions()
+    gens = tuple(tuple(pos[gen[v]] for v in canon.order) for gen in canon.generators)
+    return canon.cert, g.relabel(pos), gens
+
+
+def _nonedge_orbit_reps(g: SimpleGraph, gens):
+    """The least non-edge of each orbit of the group generated by gens on
+    the non-edges of g."""
+    covered: set[tuple[int, int]] = set()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v) or (u, v) in covered:
+                continue
+            yield u, v
+            covered.add((u, v))
+            stack = [(u, v)]
+            while stack:
+                a, b = stack.pop()
+                for gen in gens:
+                    x, y = gen[a], gen[b]
+                    pair = (x, y) if x < y else (y, x)
+                    if pair not in covered:
+                        covered.add(pair)
+                        stack.append(pair)
+
+
 def _graphs_with_edges(n: int, m: int) -> list[SimpleGraph]:
     """One canonical representative per isomorphism class of graphs on n
-    labeled vertices with exactly m edges (connected or not)."""
-    current: dict[bytes, SimpleGraph] = {
-        canonical_form(SimpleGraph(n, ())): SimpleGraph(n, ())
-    }
+    labeled vertices with exactly m edges (connected or not), sorted by
+    certificate.
+
+    Each level adds one edge to every class of the level below.  Non-edges
+    in one orbit of the parent's automorphism group give isomorphic children,
+    so only one per orbit is tried (McKay, "Isomorph-free exhaustive
+    generation", 1998); any group of true automorphisms keeps this
+    exhaustive.  The search that names a child's class also labels it
+    canonically and finds the generators used one level up."""
+    cert, g, gens = _canonical_copy(SimpleGraph(n, ()))
+    current = {cert: (g, gens)}
     for _ in range(m):
-        nxt: dict[bytes, SimpleGraph] = {}
-        for g in current.values():
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if g.has_edge(u, v):
-                        continue
-                    h = g.with_edge(u, v)
-                    cert = canonical_form(h)
-                    if cert not in nxt:
-                        nxt[cert] = canonical_relabel(h)
+        nxt: dict[bytes, tuple] = {}
+        for g, gens in current.values():
+            for u, v in _nonedge_orbit_reps(g, gens):
+                cert, child, child_gens = _canonical_copy(g.with_edge(u, v))
+                if cert not in nxt:
+                    nxt[cert] = (child, child_gens)
         current = nxt
-    return [current[cert] for cert in sorted(current)]
+    return [current[cert][0] for cert in sorted(current)]
 
 
 def enumerate_class(spec: ClassSpec) -> list[SimpleGraph]:
@@ -83,14 +119,13 @@ def enumerate_class(spec: ClassSpec) -> list[SimpleGraph]:
             f"class enumeration capped at n <= {ENUM_MAX_VERTICES}, got n = {spec.n}"
         )
     total = spec.n * (spec.n - 1) // 2
-    if spec.m > total // 2:
-        reps = [g.complement() for g in _graphs_with_edges(spec.n, total - spec.m)]
-    else:
-        reps = _graphs_with_edges(spec.n, spec.m)
-    keyed = [
-        (canonical_form(g), g) for g in reps if g.is_connected()
-    ]
-    return [canonical_relabel(g) for _, g in sorted(keyed, key=lambda kg: kg[0])]
+    if spec.m <= total // 2:
+        # already canonical and sorted: a simple graph is determined by its
+        # certificate, which is its encoding under the identity order
+        return [g for g in _graphs_with_edges(spec.n, spec.m) if g.is_connected()]
+    complements = (g.complement() for g in _graphs_with_edges(spec.n, total - spec.m))
+    keyed = [_canonical_copy(g)[:2] for g in complements if g.is_connected()]
+    return [g for _, g in sorted(keyed, key=lambda kg: kg[0])]
 
 
 def labeled_connected_count(n: int, m: int) -> int:
@@ -117,8 +152,6 @@ def labeled_connected_count(n: int, m: int) -> int:
 # Per-member computation (worker-friendly: module-level, picklable results).
 # ---------------------------------------------------------------------------
 
-_WORKER_MEMO: dict = {}
-
 
 @dataclass(frozen=True)
 class MemberData:
@@ -131,8 +164,8 @@ class MemberData:
     lambda_list: tuple[int | None, ...]
 
 
-def _member_data(g: SimpleGraph, memo_cap: int | None = None) -> MemberData:
-    w = whitney(g, memo=_WORKER_MEMO, memo_cap=memo_cap)
+def _member_data(g: SimpleGraph, memo: dict, memo_cap: int | None = None) -> MemberData:
+    w = whitney(g, memo=memo, memo_cap=memo_cap)
     table = ntable_from_whitney(w, g.n, g.m)
     return MemberData(
         graph=g,
@@ -246,8 +279,9 @@ def scan(spec: ClassSpec, config: ScanConfig | None = None) -> ClassReport:
     if not members:
         raise BudgetError(f"scan of C({spec.n}, {spec.m}) produced no members")
 
+    # one deletion-contraction memo per scan (per task chunk in a pool)
     workers = cfg.resolved_workers()
-    worker_fn = partial(_member_data, memo_cap=cfg.memo_cap)
+    worker_fn = partial(_member_data, memo={}, memo_cap=cfg.memo_cap)
     if workers > 1 and len(members) > 1:
         with Pool(workers) as pool:
             data = pool.map(worker_fn, members, chunksize=8)

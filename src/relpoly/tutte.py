@@ -11,7 +11,7 @@ from .errors import BudgetError, DisconnectedGraphError
 from .graphs import (
     MultiGraph,
     SimpleGraph,
-    _canon_search,
+    canonical_form,
     components,
     edge_subset_census,
 )
@@ -94,8 +94,7 @@ def _block_split(n, edges):
 
 
 def _core_key(n, edges):
-    cert, _ = _canon_search(n, {(u, v): c for u, v, c in edges}, {})
-    return cert
+    return canonical_form(MultiGraph(n, edges))
 
 
 def _dipole_poly(c):

@@ -192,6 +192,17 @@ def test_budget_refusal_exit_code(capsys):
     assert code == 3
 
 
+def test_counts_on_graph_with_over_255_vertices(capsys, tmp_path):
+    # theta graph: hubs 0 and 1 joined by paths of 1, 2 and 257 edges; its
+    # 259-vertex block needs a wide certificate as a memo key
+    edges = [(0, 1), (0, 2), (2, 1), (0, 3)] + [(i, i + 1) for i in range(3, 258)] + [(258, 1)]
+    path = tmp_path / "theta.txt"
+    path.write_text(f"259 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run_cli(capsys, "counts", "--graph", str(path))
+    assert code == 0, err
+    assert json.loads(out)["t"][0] == str(1 * 2 + 2 * 257 + 257 * 1)
+
+
 def test_disconnected_input_error(capsys):
     # "C`" is the disconnected graph on 4 vertices with edges (0,1), (2,3);
     # the count-table route requires a connected graph and must refuse cleanly

@@ -13,6 +13,7 @@ from relpoly.graphs import (
     automorphism_count,
     canonical_form,
     canonical_form_bruteforce,
+    canonical_labeling,
     canonical_relabel,
     components,
     edge_subset_census,
@@ -159,6 +160,80 @@ def test_automorphism_counts():
             if g.relabel(list(perm)).edges == g.edges
         )
         assert automorphism_count(g) == brute
+
+
+def group_order(gens, n):
+    """Order of the permutation group generated by gens, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for gen in gens:
+            q = tuple(gen[p[v]] for v in range(n))
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen)
+
+
+def test_search_generators_generate_the_automorphism_group():
+    graphs = [
+        fixture("complete_bipartite", 3, 3),
+        fixture("cycle", 7),
+        fixture("complete_bipartite", 2, 5),
+        SimpleGraph(7, ()),
+    ]
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        graphs.append(random_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+    for g in graphs:
+        canon = canonical_labeling(g)
+        for gen in canon.generators:
+            assert g.relabel(gen).edges == g.edges
+        assert group_order(canon.generators, g.n) == automorphism_count(g), g
+        assert g.relabel(canon.positions()) == canonical_relabel(g)
+
+
+def relabel_multigraph(g: MultiGraph, perm) -> MultiGraph:
+    return MultiGraph(g.n, tuple((perm[u], perm[v], c) for u, v, c in g.edges))
+
+
+def test_canonical_form_invariance_with_loops_and_wide_multiplicities():
+    rng = random.Random(13)
+    by_fast, by_brute = {}, {}
+    for i in range(120):
+        n = rng.randint(1, 5)
+        classes = {}
+        for _ in range(rng.randint(1, 6)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            classes[(min(u, v), max(u, v))] = rng.choice((1, 256, 300, 70000))
+        g = MultiGraph(n, tuple((u, v, c) for (u, v), c in classes.items()))
+        cert = canonical_form(g)
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel_multigraph(g, perm)) == cert
+        by_fast.setdefault(cert, set()).add(i)
+        by_brute.setdefault(canonical_form_bruteforce(g), set()).add(i)
+    assert sorted(by_fast.values(), key=sorted) == sorted(by_brute.values(), key=sorted)
+
+
+def test_wide_certificates_are_distinct_from_narrow_ones():
+    narrow = canonical_form(MultiGraph(2, ((0, 1, 255),)))
+    assert narrow == bytes([2, 0, 0, 255])  # one byte per value, as before
+    wide = canonical_form(MultiGraph(2, ((0, 1, 256),)))
+    assert wide == bytes([0, 2, 0, 2, 0, 0, 0, 0, 1, 0])  # 0, width, values
+    assert canonical_form(SimpleGraph(0, ())) == b"\x00"  # the one narrow cert led by 0
+    # n >= 256: a path and a relabeled copy
+    long_path = SimpleGraph(260, tuple((i, i + 1) for i in range(259)))
+    perm = list(range(260))
+    random.Random(14).shuffle(perm)
+    cert = canonical_form(long_path)
+    assert cert[:2] == bytes([0, 2])
+    assert canonical_form(long_path.relabel(perm)) == cert
+    assert cert != canonical_form(SimpleGraph(260, long_path.edges[1:] + ((0, 2),)))
 
 
 def test_graph6_k2():

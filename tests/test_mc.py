@@ -1,8 +1,13 @@
 """Monte Carlo percolation estimates."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import relpoly
 from relpoly.counts import ntable_from_whitney, rel_eval, reliability
 from relpoly.graphs import SimpleGraph, fixture
 from relpoly.mc import BATCH_SIZE, cross_check, estimate
@@ -92,3 +97,13 @@ def test_edgeless_graph():
     g = SimpleGraph(3, ())
     assert estimate(g, 3, Fraction(1, 2), 100, seed=0).mean == 1.0
     assert estimate(g, 2, Fraction(1, 2), 100, seed=0).mean == 0.0
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by estimate() only; the other commands start without it
+    src = str(Path(relpoly.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, relpoly.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

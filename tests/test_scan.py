@@ -1,10 +1,14 @@
 """Class enumeration and full-class scans."""
+import hashlib
+import importlib
 import json
+from collections import Counter
 from math import factorial
 
 import pytest
 
 from conftest import all_labeled_graphs
+from relpoly.cli import main
 from relpoly.errors import BudgetError
 from relpoly.graphs import (
     SimpleGraph,
@@ -116,6 +120,70 @@ def test_enumeration_exhaustive_by_automorphism_identity():
             members = enumerate_class(ClassSpec(n, m))
             labeled = sum(factorial(n) // automorphism_count(g) for g in members)
             assert labeled == labeled_connected_count(n, m), (n, m)
+
+
+def test_c98_trees_by_automorphism_identity():
+    members = enumerate_class(ClassSpec(9, 8))
+    assert len(members) == 47  # trees on 9 vertices
+    labeled = sum(factorial(9) // automorphism_count(g) for g in members)
+    assert labeled == labeled_connected_count(9, 8) == 9**7  # Cayley
+
+
+def test_enumeration_matches_graph_atlas():
+    # networkx's atlas lists every graph on up to 7 vertices once
+    nx = pytest.importorskip("networkx")
+    atlas_counts = Counter()
+    atlas_certs: dict[tuple[int, int], set] = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h):
+            g = SimpleGraph(n, tuple(h.edges()))
+            atlas_counts[(n, g.m)] += 1
+            atlas_certs.setdefault((n, g.m), set()).add(canonical_form(g))
+    total = 0
+    for n in range(1, 8):
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            members = enumerate_class(ClassSpec(n, m))
+            assert len(members) == atlas_counts[(n, m)], (n, m)
+            assert {canonical_form(g) for g in members} == atlas_certs[(n, m)], (n, m)
+            total += len(members)
+    assert total == sum(atlas_counts.values()) == 996
+
+
+# sha256 of the scan JSON, pinned before the pruned search; C(7, 12) goes
+# through the complement route
+SCAN_DIGESTS = {
+    (7, 10): "535b771a0193430ab491de5ca3694a9267ccb4302c3984ad00eadeb4390410fb",
+    (7, 12): "25025abeccd2cdeb955edfd8bd62568e36b09e8cb22575a394899b2b577b1ab9",
+}
+
+
+def test_scan_json_is_byte_identical_to_pinned_digests(capsys):
+    for (n, m), digest in SCAN_DIGESTS.items():
+        assert main(["scan", "--n", str(n), "--m", str(m)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, m)
+
+
+def test_each_scan_gets_a_fresh_memo(monkeypatch):
+    # relpoly.scan as a package attribute is the scan function
+    scan_module = importlib.import_module("relpoly.scan")
+    original = scan_module._member_data
+    memos, sizes = [], []
+
+    def spy(g, memo, memo_cap=None):
+        memos.append(memo)
+        sizes.append(len(memo))
+        return original(g, memo, memo_cap)
+
+    monkeypatch.setattr(scan_module, "_member_data", spy)
+    scan(ClassSpec(5, 6))
+    first = len(memos)
+    scan(ClassSpec(5, 6))
+    assert all(memo is memos[0] for memo in memos[:first])
+    assert len(memos[0]) > 0  # the first scan filled its memo
+    assert sizes[0] == sizes[first] == 0
+    assert memos[first] is not memos[0]
 
 
 def test_scan_c44_flags():

@@ -207,6 +207,13 @@ def test_figure1_regressions():
     assert tree_number_mtt(g) == 9216
 
 
+def test_dc_on_multiplicity_300_triangle():
+    # spanning trees pick two of the three classes: 300*1 + 1*1 + 1*300
+    t = tutte_dc(MultiGraph(3, ((0, 1, 300), (1, 2, 1), (0, 2, 1))))
+    assert t.eval_rational(1, 1) == 601
+    assert t.eval_rational(2, 2) == 2**302
+
+
 def test_expansion_budget_refusal():
     with pytest.raises(BudgetError):
         tutte_expansion(fixture("complete", 8))  # m = 28 > 26
