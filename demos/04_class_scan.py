@@ -5,8 +5,8 @@ count table and flags the strong, 0-element, Whitney-maximum, Tutte-maximum
 and t-optimal members.  Two independent code paths (entrywise table
 domination vs division certificates) must flag the same strong set.
 
-Run with --large to reproduce the full C(8, 18) result (about half a
-minute): exactly one Whitney-maximum class, and no Tutte-maximum at all.
+Run with --large to reproduce the full C(8, 18) result (about 5 seconds):
+exactly one Whitney-maximum class, and no Tutte-maximum at all.
 """
 import sys
 import time

@@ -114,12 +114,10 @@ def build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="classify a full class C(n, m)")
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--m", type=int, required=True)
-    p_scan.add_argument("--workers", type=int, default=None)
     p_scan.add_argument("--limit", type=int, default=None,
                         help="smoke mode: scan only the first N members (report marked partial)")
     p_scan.add_argument("--full", action="store_true",
                         help="certify every member, skipping the table-domination prefilter")
-    p_scan.add_argument("--memo-cap", type=int, default=None, dest="memo_cap")
     p_scan.add_argument("--csv", default=None, help="also write the CSV digest here")
 
     p_cert = sub.add_parser("certify", help="check one graph against a whole class")
@@ -207,12 +205,7 @@ def _cmd_scan(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise _UsageError("--limit must be at least 1")
     spec = ClassSpec(args.n, args.m)
-    config = ScanConfig(
-        workers=args.workers,
-        prefilter=not args.full,
-        limit=args.limit,
-        memo_cap=args.memo_cap,
-    )
+    config = ScanConfig(prefilter=not args.full, limit=args.limit)
     report = scan(spec, config)
     if args.csv:
         Path(args.csv).write_text("\n".join(report.to_csv_rows()) + "\n")

@@ -1,8 +1,8 @@
 """Monte Carlo edge percolation, cross-validating the exact pipeline.
 
 Trials run in fixed-size batches, each seeded by a counter-based Philox
-stream keyed on (seed, batch index), so results are reproducible no matter
-how batches are distributed over workers.
+stream keyed on (seed, batch index), so results depend only on the seed
+and the batch index.
 """
 from __future__ import annotations
 

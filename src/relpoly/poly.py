@@ -125,16 +125,7 @@ class BivarPoly:
         return BivarPoly._raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "BivarPoly | int") -> "BivarPoly":
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BivarPoly._raw(out)
+        return self + -other
 
     def __rsub__(self, other: int) -> "BivarPoly":
         return BivarPoly.constant(other) - self
@@ -267,10 +258,3 @@ class BivarPoly:
 
     def __repr__(self) -> str:
         return f"BivarPoly({self})"
-
-    # dict-backed slots need explicit pickle support
-    def __getstate__(self):
-        return self._terms
-
-    def __setstate__(self, state):
-        self._terms = state

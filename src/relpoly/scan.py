@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
-from functools import partial
 from math import comb
-from multiprocessing import Pool
 
 from .counts import (
     NTable,
@@ -37,7 +34,6 @@ from .poly import BivarPoly
 from .tutte import whitney
 
 ENUM_MAX_VERTICES = 9
-WORKERS_ENV_VAR = "RELPOLY_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ def labeled_connected_count(n: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-member computation (worker-friendly: module-level, picklable results).
+# Per-member computation.
 # ---------------------------------------------------------------------------
 
 
@@ -164,8 +160,8 @@ class MemberData:
     lambda_list: tuple[int | None, ...]
 
 
-def _member_data(g: SimpleGraph, memo: dict, memo_cap: int | None = None) -> MemberData:
-    w = whitney(g, memo=memo, memo_cap=memo_cap)
+def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
+    w = whitney(g, memo=memo)
     table = ntable_from_whitney(w, g.n, g.m)
     return MemberData(
         graph=g,
@@ -180,16 +176,8 @@ def _member_data(g: SimpleGraph, memo: dict, memo_cap: int | None = None) -> Mem
 
 @dataclass
 class ScanConfig:
-    workers: int | None = None  # None: $RELPOLY_WORKERS, else 1
     prefilter: bool = True  # restrict division certificates to table-maxima
     limit: int | None = None  # smoke mode: scan only the first N members
-    memo_cap: int | None = None
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV_VAR)
-        return max(1, int(env)) if env else 1
 
 
 @dataclass(frozen=True)
@@ -279,14 +267,9 @@ def scan(spec: ClassSpec, config: ScanConfig | None = None) -> ClassReport:
     if not members:
         raise BudgetError(f"scan of C({spec.n}, {spec.m}) produced no members")
 
-    # one deletion-contraction memo per scan (per task chunk in a pool)
-    workers = cfg.resolved_workers()
-    worker_fn = partial(_member_data, memo={}, memo_cap=cfg.memo_cap)
-    if workers > 1 and len(members) > 1:
-        with Pool(workers) as pool:
-            data = pool.map(worker_fn, members, chunksize=8)
-    else:
-        data = [worker_fn(g) for g in members]
+    # one deletion-contraction memo per scan
+    memo: dict = {}
+    data = [_member_data(g, memo) for g in members]
 
     count = len(data)
     n, m = spec.n, spec.m

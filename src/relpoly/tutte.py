@@ -113,7 +113,7 @@ def _cycle_poly(length):
     return BivarPoly(terms)
 
 
-def _dc_block(core, memo, memo_cap):
+def _dc_block(core, memo):
     n, edges = core
     if len(edges) == 1:
         return _dipole_poly(edges[0][2])
@@ -135,7 +135,7 @@ def _dc_block(core, memo, memo_cap):
     u, v, c = edges[best]
 
     deleted = edges[:best] + ((u, v, c - 1),) * (c > 1) + edges[best + 1 :]
-    result = _dc_connected(n, deleted, memo, memo_cap)
+    result = _dc_connected(n, deleted, memo)
 
     merged: dict[tuple[int, int], int] = {}
     for i, (a, b, cc) in enumerate(edges):
@@ -150,30 +150,29 @@ def _dc_block(core, memo, memo_cap):
     contracted = tuple(
         sorted((remap[a], remap[b], cc) for (a, b), cc in merged.items())
     )
-    cpoly = _dc_connected(len(verts), contracted, memo, memo_cap)
+    cpoly = _dc_connected(len(verts), contracted, memo)
     if c > 1:
         cpoly = cpoly.mul_monomial(0, c - 1)
     result = result + cpoly
 
-    if memo_cap is None or len(memo) < memo_cap:
-        memo[key] = result
+    memo[key] = result
     return result
 
 
-def _dc_connected(n, edges, memo, memo_cap):
+def _dc_connected(n, edges, memo):
     if not edges:
         return BivarPoly.one()
     result = BivarPoly.one()
     for block in _block_split(n, edges):
-        result = result * _dc_block(block, memo, memo_cap)
+        result = result * _dc_block(block, memo)
     return result
 
 
-def tutte_dc(g: SimpleGraph | MultiGraph, memo=None, memo_cap=None) -> BivarPoly:
+def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     """Tutte polynomial by deletion-contraction with iso-keyed memoization.
 
-    The memo dict may be shared between calls (and workers); entries are a
-    pure function of the canonical key, so concurrent reuse is safe.
+    The memo dict may be shared between calls; entries are a pure function
+    of the canonical key, so reuse across graphs is safe.
     """
     mg = MultiGraph.from_simple(g) if isinstance(g, SimpleGraph) else g
     if memo is None:
@@ -191,7 +190,7 @@ def tutte_dc(g: SimpleGraph | MultiGraph, memo=None, memo_cap=None) -> BivarPoly
         edges = tuple(
             sorted((remap[u], remap[v], c) for u, v, c in nonloop if labels[u] == comp)
         )
-        result = result * _dc_connected(len(verts), edges, memo, memo_cap)
+        result = result * _dc_connected(len(verts), edges, memo)
     if loops:
         result = result.mul_monomial(0, loops)
     return result
@@ -237,9 +236,9 @@ def whitney_expansion(g: SimpleGraph) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def whitney(g: SimpleGraph | MultiGraph, memo=None, memo_cap=None) -> BivarPoly:
+def whitney(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     """Whitney polynomial W(x, y) = T(x+1, y+1), via deletion-contraction."""
-    return tutte_dc(g, memo=memo, memo_cap=memo_cap).shift_vars(1, 1)
+    return tutte_dc(g, memo=memo).shift_vars(1, 1)
 
 
 def forest_gen(g: SimpleGraph, memo=None) -> list[int]:

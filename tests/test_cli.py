@@ -96,11 +96,10 @@ def test_scan_limit_marks_partial(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
-def test_scan_full_and_memo_cap_do_not_change_results(capsys):
+def test_scan_full_does_not_change_results(capsys):
     _, base, _ = run_cli(capsys, "scan", "--n", "5", "--m", "6")
     _, full, _ = run_cli(capsys, "scan", "--n", "5", "--m", "6", "--full")
-    _, capped, _ = run_cli(capsys, "scan", "--n", "5", "--m", "6", "--memo-cap", "5")
-    assert base == full == capped
+    assert base == full
 
 
 def test_certify_maximum_and_expect_flag(capsys):
@@ -163,6 +162,13 @@ def test_usage_errors_are_json_on_stderr(capsys):
     code, _, err = run_cli(capsys, "rel", "--graph", "g6:A_")  # missing required args
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+    # scans run serially with one memo, so these options were removed
+    for option, value in (("--workers", "2"), ("--memo-cap", "5")):
+        code, out, err = run_cli(capsys, "scan", "--n", "5", "--m", "6", option, value)
+        assert code == 2 and not out
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "usage"
 
 
 def test_out_of_range_k_is_usage_error(capsys):

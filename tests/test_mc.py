@@ -100,10 +100,11 @@ def test_edgeless_graph():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported by estimate() only; the other commands start without it
+    # numpy is imported by estimate() only; the other commands start without
+    # it, and scans run serially, so no process pool is imported either
     src = str(Path(relpoly.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, relpoly.cli; print('numpy' in sys.modules)"
+    code = "import sys, relpoly.cli; print([m in sys.modules for m in ('numpy', 'multiprocessing')])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"

@@ -171,10 +171,10 @@ def test_each_scan_gets_a_fresh_memo(monkeypatch):
     original = scan_module._member_data
     memos, sizes = [], []
 
-    def spy(g, memo, memo_cap=None):
+    def spy(g, memo):
         memos.append(memo)
         sizes.append(len(memo))
-        return original(g, memo, memo_cap)
+        return original(g, memo)
 
     monkeypatch.setattr(scan_module, "_member_data", spy)
     scan(ClassSpec(5, 6))
@@ -234,12 +234,6 @@ def test_theorem2_and_lemma1_small_classes_without_prefilter():
         wm = {r.graph6 for r in full.members if r.whitney_max}
         tm = {r.graph6 for r in full.members if r.tutte_max}
         assert tm <= wm  # Tutte-maximum members are Whitney-maximum
-
-
-def test_scan_workers_match_sequential():
-    a = scan(ClassSpec(5, 6), ScanConfig(workers=1))
-    b = scan(ClassSpec(5, 6), ScanConfig(workers=2))
-    assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_scan_limit_smoke_mode():
