@@ -216,6 +216,13 @@ def _cmd_scan(args) -> int:
 def _cmd_certify(args) -> int:
     g = load_graph(args.graph)
     spec = ClassSpec(args.n, args.m)
+    # refuse a graph outside C(n, m) before paying for the enumeration
+    if (g.n, g.m) != (spec.n, spec.m):
+        raise DimensionMismatchError(
+            f"graph has (n, m) = ({g.n}, {g.m}); the class is C({spec.n}, {spec.m})"
+        )
+    if not g.is_connected():
+        raise DisconnectedGraphError(f"C({spec.n}, {spec.m}) holds connected graphs only")
     members = enumerate_class(spec)
     outcome = certify_maximum(g, members, order=args.order, collect_all=args.full)
     payload = {

@@ -155,18 +155,7 @@ def rel_eval(rp: ReliabilityPoly, p: Fraction | int) -> Fraction:
     return total
 
 
-def rel_power_coeffs(rp: ReliabilityPoly) -> list[int]:
-    """Power-basis coefficients, for display only."""
-    out = [0] * (rp.m + 1)
-    for i, c in enumerate(rp.coeffs):
-        if not c:
-            continue
-        for t in range(i, rp.m + 1):
-            out[t] += c * comb(rp.m - i, t - i) * (-1) ** (t - i)
-    return out
-
-
-def reliability_via_tutte(g: SimpleGraph, p: Fraction | int, memo=None) -> Fraction:
+def reliability_via_tutte(g: SimpleGraph, p: Fraction | int) -> Fraction:
     """Connectedness probability via p^{n-1} (1-p)^{m-n+1} T(1, 1/(1-p))."""
     p = Fraction(p)
     if not 0 < p < 1:
@@ -174,7 +163,7 @@ def reliability_via_tutte(g: SimpleGraph, p: Fraction | int, memo=None) -> Fract
     kappa, _ = components(g)
     if kappa != 1:
         raise DisconnectedGraphError("reliability_via_tutte needs a connected graph")
-    t = tutte_dc(g, memo=memo)
+    t = tutte_dc(g)
     value = t.eval_rational(Fraction(1), 1 / (1 - p))
     return p ** (g.n - 1) * (1 - p) ** (g.m - g.n + 1) * value
 

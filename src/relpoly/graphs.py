@@ -105,10 +105,6 @@ class MultiGraph:
     def from_simple(cls, g: SimpleGraph) -> "MultiGraph":
         return cls(g.n, tuple((u, v, 1) for u, v in g.edges))
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "MultiGraph":
-        return cls(n, tuple((u, v, 1) for u, v in pairs))
-
     @property
     def m(self) -> int:
         """Total edge count with multiplicity, loops included."""
@@ -448,15 +444,6 @@ def canonical_relabel(g: SimpleGraph) -> SimpleGraph:
     return g.relabel(canonical_labeling(g).positions())
 
 
-def canonical_form_bruteforce(g: Graph) -> bytes:
-    """Minimum encoding over all n! relabelings; test oracle for small n."""
-    mult, loops = _mult_and_loops(g)
-    return min(
-        _encode(g.n, mult, loops, order)
-        for order in itertools.permutations(range(g.n))
-    )
-
-
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group, by refinement-constrained search."""
     n = g.n
@@ -561,6 +548,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphFormatError(f"bad header {lines[0]!r}: expected integers") from None
+    if n < 0:
+        raise GraphFormatError(f"bad header {lines[0]!r}: negative vertex count")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
     seen = set()

@@ -77,17 +77,25 @@ def _negative_term(p: BivarPoly) -> tuple[int, int]:
     return min((a, b) for a, b, c in p.terms() if c < 0)
 
 
-def compare_whitney_polys(w_g: BivarPoly, w_h: BivarPoly) -> OrderResult:
-    """Decide h <=_W g from the two Whitney polynomials."""
-    diff = w_g - w_h
+def _decide(diff: BivarPoly, back_shift: bool) -> OrderResult:
+    """Verdict on a difference of Whitney polynomials: its quotient by
+    (1 - xy), back-shifted by (-1, -1) for the Tutte order, must be
+    nonnegative."""
     if diff.is_zero():
         return OrderResult(EQUAL)
     quotient, witness = divide_one_minus_xy(diff)
     if quotient is None:
         return OrderResult(NOT_DIVISIBLE, witness=witness)
+    if back_shift:
+        quotient = quotient.shift_vars(-1, -1)
     if quotient.is_nonnegative():
         return OrderResult(DOMINATES, quotient=quotient)
     return OrderResult(NEGATIVE_QUOTIENT, quotient=quotient, witness=_negative_term(quotient))
+
+
+def compare_whitney_polys(w_g: BivarPoly, w_h: BivarPoly) -> OrderResult:
+    """Decide h <=_W g from the two Whitney polynomials."""
+    return _decide(w_g - w_h, back_shift=False)
 
 
 def compare_tutte_polys(w_g: BivarPoly, w_h: BivarPoly) -> OrderResult:
@@ -97,16 +105,7 @@ def compare_tutte_polys(w_g: BivarPoly, w_h: BivarPoly) -> OrderResult:
     and shifting the quotient back yields the polynomial P with
     T_g - T_h = (x + y - xy) P.
     """
-    diff = w_g - w_h
-    if diff.is_zero():
-        return OrderResult(EQUAL)
-    quotient, witness = divide_one_minus_xy(diff)
-    if quotient is None:
-        return OrderResult(NOT_DIVISIBLE, witness=witness)
-    p = quotient.shift_vars(-1, -1)
-    if p.is_nonnegative():
-        return OrderResult(DOMINATES, quotient=p)
-    return OrderResult(NEGATIVE_QUOTIENT, quotient=p, witness=_negative_term(p))
+    return _decide(w_g - w_h, back_shift=True)
 
 
 def _check_same_class(g: SimpleGraph, h: SimpleGraph) -> None:
@@ -116,16 +115,18 @@ def _check_same_class(g: SimpleGraph, h: SimpleGraph) -> None:
         )
 
 
-def whitney_compare(g: SimpleGraph, h: SimpleGraph, memo=None) -> OrderResult:
+def whitney_compare(g: SimpleGraph, h: SimpleGraph) -> OrderResult:
     """Certificate for h <=_W g: W_g - W_h = (1 - xy) * nonnegative quotient."""
     _check_same_class(g, h)
-    return compare_whitney_polys(whitney(g, memo=memo), whitney(h, memo=memo))
+    memo: dict = {}
+    return compare_whitney_polys(whitney(g, memo), whitney(h, memo))
 
 
-def tutte_compare(g: SimpleGraph, h: SimpleGraph, memo=None) -> OrderResult:
+def tutte_compare(g: SimpleGraph, h: SimpleGraph) -> OrderResult:
     """Certificate for h <= g: T_g - T_h = (x + y - xy) * nonnegative quotient."""
     _check_same_class(g, h)
-    return compare_tutte_polys(whitney(g, memo=memo), whitney(h, memo=memo))
+    memo: dict = {}
+    return compare_tutte_polys(whitney(g, memo), whitney(h, memo))
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,6 @@ def certify_maximum(
     g: SimpleGraph,
     class_members: Iterable[SimpleGraph],
     order: str = WHITNEY,
-    memo=None,
     collect_all: bool = False,
 ) -> MaximumCertificate:
     """Check h <= g for every h in an isomorphism-class stream.
@@ -153,16 +153,15 @@ def certify_maximum(
     """
     if order not in (WHITNEY, TUTTE):
         raise ValueError(f"unknown order {order!r}")
-    if memo is None:
-        memo = {}
+    memo: dict = {}  # one deletion-contraction memo for g and the class
     compare_polys = compare_whitney_polys if order == WHITNEY else compare_tutte_polys
-    w_g = whitney(g, memo=memo)
+    w_g = whitney(g, memo)
     counterexamples = []
     checked = 0
     for h in class_members:
         _check_same_class(g, h)
         checked += 1
-        result = compare_polys(w_g, whitney(h, memo=memo))
+        result = compare_polys(w_g, whitney(h, memo))
         if not result.ok():
             counterexamples.append((h, result))
             if not collect_all:

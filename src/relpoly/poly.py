@@ -79,12 +79,6 @@ class BivarPoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def degrees(self) -> tuple[int, int]:
-        """(max x-exponent, max y-exponent); (0, 0) for the zero polynomial."""
-        if not self._terms:
-            return (0, 0)
-        return (max(a for a, _ in self._terms), max(b for _, b in self._terms))
-
     def y_zero_slice(self) -> list[int]:
         """Coefficients [c_0, ..., c_d] of the univariate restriction y = 0."""
         xs = {a: c for (a, b), c in self._terms.items() if b == 0}

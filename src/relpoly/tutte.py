@@ -2,8 +2,11 @@
 
 tutte_expansion sums over all 2^m spanning subgraphs; tutte_dc runs
 deletion-contraction with an isomorphism-keyed memo.  The recursion
-factors over biconnected blocks (bridges become single-edge blocks with
-factor x) and short-circuits parallel classes and plain cycles.
+factors over biconnected blocks (a parallel class on no cycle is a block
+of its own, with factor x + y + ... + y^(c-1)) and short-circuits
+parallel classes and plain cycles.
+The design follows Haggard, Pearce & Royle, "Computing Tutte polynomials"
+(ACM TOMS 2010).
 """
 from __future__ import annotations
 
@@ -23,19 +26,16 @@ EXPANSION_MAX_EDGES = 26
 
 
 def _block_split(n, edges):
-    """Biconnected components of a connected loopless core, renumbered.
+    """Biconnected components of a loopless core, each renumbered.
 
-    Parallel classes contribute two edge instances so the DFS sees the
-    2-cycle they form; each block keeps the full class multiplicities.
+    One iterative DFS from every unvisited vertex walks each parallel class
+    as a single edge, so a class on no cycle comes out as a bridge block
+    that keeps its full multiplicity.  Isolated vertices give no block.
     """
     adj = [[] for _ in range(n)]
-    inst_class = []
-    for cid, (u, v, c) in enumerate(edges):
-        for _ in range(2 if c >= 2 else 1):
-            iid = len(inst_class)
-            inst_class.append(cid)
-            adj[u].append((v, iid))
-            adj[v].append((u, iid))
+    for cid, (u, v, _) in enumerate(edges):
+        adj[u].append((v, cid))
+        adj[v].append((u, cid))
 
     disc = [-1] * n
     low = [0] * n
@@ -43,47 +43,49 @@ def _block_split(n, edges):
     blocks: list[list[int]] = []
     timer = 0
 
-    # iterative DFS: frames of (vertex, entering instance, adjacency cursor)
-    disc[0] = low[0] = timer
-    timer += 1
-    frames = [(0, -1, iter(adj[0]))]
-    while frames:
-        u, parent_inst, it = frames[-1]
-        advanced = False
-        for w, iid in it:
-            if iid == parent_inst:
-                continue
-            if disc[w] == -1:
-                estack.append(iid)
-                disc[w] = low[w] = timer
-                timer += 1
-                frames.append((w, iid, iter(adj[w])))
-                advanced = True
-                break
-            if disc[w] < disc[u]:
-                estack.append(iid)
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-        if advanced:
+    # iterative DFS: frames of (vertex, entering class, adjacency cursor)
+    for root in range(n):
+        if disc[root] != -1:
             continue
-        frames.pop()
-        if frames:
-            pu = frames[-1][0]
-            if low[u] < low[pu]:
-                low[pu] = low[u]
-            if low[u] >= disc[pu]:
-                entering = parent_inst
-                blk = []
-                while True:
-                    e = estack.pop()
-                    blk.append(e)
-                    if e == entering:
-                        break
-                blocks.append(blk)
+        disc[root] = low[root] = timer
+        timer += 1
+        frames = [(root, -1, iter(adj[root]))]
+        while frames:
+            u, parent_cid, it = frames[-1]
+            advanced = False
+            for w, cid in it:
+                if cid == parent_cid:
+                    continue
+                if disc[w] == -1:
+                    estack.append(cid)
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    frames.append((w, cid, iter(adj[w])))
+                    advanced = True
+                    break
+                if disc[w] < disc[u]:
+                    estack.append(cid)
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
+            if advanced:
+                continue
+            frames.pop()
+            if frames:
+                pu = frames[-1][0]
+                if low[u] < low[pu]:
+                    low[pu] = low[u]
+                if low[u] >= disc[pu]:
+                    blk = []
+                    while True:
+                        cid = estack.pop()
+                        blk.append(cid)
+                        if cid == parent_cid:
+                            break
+                    blocks.append(blk)
 
     cores = []
     for blk in blocks:
-        cids = sorted({inst_class[e] for e in blk})
+        cids = sorted(blk)
         verts = sorted({v for cid in cids for v in edges[cid][:2]})
         remap = {v: i for i, v in enumerate(verts)}
         blk_edges = tuple(
@@ -118,12 +120,8 @@ def _dc_block(core, memo):
     if len(edges) == 1:
         return _dipole_poly(edges[0][2])
     if len(edges) == n and all(c == 1 for _, _, c in edges):
-        deg = [0] * n
-        for u, v, _ in edges:
-            deg[u] += 1
-            deg[v] += 1
-        if all(d == 2 for d in deg):
-            return _cycle_poly(n)
+        # a block is 2-connected, so n simple edges on n vertices form a cycle
+        return _cycle_poly(n)
 
     key = _core_key(n, edges)
     hit = memo.get(key)
@@ -135,7 +133,7 @@ def _dc_block(core, memo):
     u, v, c = edges[best]
 
     deleted = edges[:best] + ((u, v, c - 1),) * (c > 1) + edges[best + 1 :]
-    result = _dc_connected(n, deleted, memo)
+    result = _dc(n, deleted, memo)
 
     merged: dict[tuple[int, int], int] = {}
     for i, (a, b, cc) in enumerate(edges):
@@ -150,7 +148,7 @@ def _dc_block(core, memo):
     contracted = tuple(
         sorted((remap[a], remap[b], cc) for (a, b), cc in merged.items())
     )
-    cpoly = _dc_connected(len(verts), contracted, memo)
+    cpoly = _dc(len(verts), contracted, memo)
     if c > 1:
         cpoly = cpoly.mul_monomial(0, c - 1)
     result = result + cpoly
@@ -159,9 +157,8 @@ def _dc_block(core, memo):
     return result
 
 
-def _dc_connected(n, edges, memo):
-    if not edges:
-        return BivarPoly.one()
+def _dc(n, edges, memo):
+    # a loopless core's polynomial: the product over its blocks
     result = BivarPoly.one()
     for block in _block_split(n, edges):
         result = result * _dc_block(block, memo)
@@ -171,29 +168,19 @@ def _dc_connected(n, edges, memo):
 def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     """Tutte polynomial by deletion-contraction with iso-keyed memoization.
 
-    The memo dict may be shared between calls; entries are a pure function
-    of the canonical key, so reuse across graphs is safe.
+    T is the product of the block polynomials of the non-loop classes,
+    times y^loops.  The block split walks every component, so components
+    and isolated vertices need no pass of their own.
+
+    A memo dict may be shared between calls (scan() and certify_maximum
+    share one across a class); entries are a pure function of the canonical
+    key, so reuse across graphs is safe.  Without one, the call uses a
+    fresh memo.
     """
     mg = MultiGraph.from_simple(g) if isinstance(g, SimpleGraph) else g
-    if memo is None:
-        memo = {}
+    result = _dc(mg.n, mg.nonloop_edges(), {} if memo is None else memo)
     loops = sum(mg.loop_counts().values())
-    nonloop = mg.nonloop_edges()
-
-    kappa, labels = components(mg)
-    result = BivarPoly.one()
-    for comp in range(kappa):
-        verts = [v for v in range(mg.n) if labels[v] == comp]
-        if len(verts) == 1:
-            continue
-        remap = {v: i for i, v in enumerate(verts)}
-        edges = tuple(
-            sorted((remap[u], remap[v], c) for u, v, c in nonloop if labels[u] == comp)
-        )
-        result = result * _dc_connected(len(verts), edges, memo)
-    if loops:
-        result = result.mul_monomial(0, loops)
-    return result
+    return result.mul_monomial(0, loops) if loops else result
 
 
 def tutte_expansion(g: SimpleGraph) -> BivarPoly:
@@ -241,17 +228,17 @@ def whitney(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     return tutte_dc(g, memo=memo).shift_vars(1, 1)
 
 
-def forest_gen(g: SimpleGraph, memo=None) -> list[int]:
+def forest_gen(g: SimpleGraph) -> list[int]:
     """[t_1, ..., t_n]: spanning-forest counts by number of trees."""
     _require_connected(g)
-    slice_ = whitney(g, memo=memo).y_zero_slice()
+    slice_ = whitney(g).y_zero_slice()
     return [slice_[i] if i < len(slice_) else 0 for i in range(g.n)]
 
 
-def tree_number(g: SimpleGraph, memo=None) -> int:
+def tree_number(g: SimpleGraph) -> int:
     """Spanning-tree count, read off the Whitney polynomial at (0, 0)."""
     _require_connected(g)
-    return whitney(g, memo=memo).coeff(0, 0)
+    return whitney(g).coeff(0, 0)
 
 
 def tree_number_mtt(g: SimpleGraph) -> int:

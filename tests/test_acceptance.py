@@ -161,7 +161,7 @@ def test_criterion_5_engine_cross_validation(capsys):
     rng = random.Random(502)
     for _ in range(100):
         g = _random_connected(rng, (4, 5, 6, 7, 8))
-        assert tree_number(g, memo=memo) == tree_number_mtt(g)
+        assert tree_number(g) == tree_number_mtt(g)
     with capsys.disabled():
         _report(5, f"deletion-contraction equals 2^m expansion on {checked} graphs; "
                    "tree numbers match the determinant route on 100 more")
@@ -176,7 +176,7 @@ def test_criterion_6_tutte_reliability_identity(capsys):
         table = ntable_from_whitney(whitney(g, memo=memo), g.n, g.m)
         rp = reliability(table, 1)
         for p in points:
-            assert reliability_via_tutte(g, p, memo=memo) == rel_eval(rp, p)
+            assert reliability_via_tutte(g, p) == rel_eval(rp, p)
     with capsys.disabled():
         _report(6, "Tutte-evaluation route equals the count-table route at "
                    "p in {1/3, 1/2, 2/3} on 50 random graphs, exactly")

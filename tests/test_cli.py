@@ -187,6 +187,31 @@ def test_certify_dimension_mismatch(capsys):
     assert json.loads(err)["error"] == "parse"
 
 
+def _fail_if_enumerated(spec):
+    raise AssertionError("enumerate_class called before the class check")
+
+
+def test_certify_checks_class_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr("relpoly.cli.enumerate_class", _fail_if_enumerated)
+    code, out, err = run_cli(
+        capsys, "certify", "--graph", "fixture:cycle:4", "--n", "8", "--m", "18"
+    )
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_certify_refuses_disconnected_graph_before_enumerating(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("relpoly.cli.enumerate_class", _fail_if_enumerated)
+    # K7 (21 edges) less three edges, beside an isolated vertex: (8, 18), disconnected
+    dropped = {(0, 1), (2, 3), (4, 5)}
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) not in dropped]
+    path = tmp_path / "split.txt"
+    path.write_text(f"8 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run_cli(capsys, "certify", "--graph", str(path), "--n", "8", "--m", "18")
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "input"
+
+
 def test_budget_refusal_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "poly", "--graph", "fixture:complete:8", "--method", "expansion"

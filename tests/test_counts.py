@@ -18,7 +18,6 @@ from relpoly.counts import (
     ntable_bruteforce,
     ntable_from_whitney,
     rel_eval,
-    rel_power_coeffs,
     reliability,
     reliability_via_tutte,
     t_k,
@@ -163,13 +162,6 @@ def test_reliability_dual_route_random():
         t = table_of(g)
         for p in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
             assert reliability_via_tutte(g, p) == rel_eval(reliability(t, 1), p)
-
-
-def test_rel_power_coeffs_display():
-    t = table_of(fixture("cycle", 3))
-    rp = reliability(t, 1)
-    # 3p^2(1-p) + p^3 = 3p^2 - 2p^3
-    assert rel_power_coeffs(rp) == [0, 0, 3, -2]
 
 
 def test_lambda_k():

@@ -12,7 +12,6 @@ from relpoly.graphs import (
     SimpleGraph,
     automorphism_count,
     canonical_form,
-    canonical_form_bruteforce,
     canonical_labeling,
     canonical_relabel,
     components,
@@ -23,6 +22,16 @@ from relpoly.graphs import (
     rank_corank,
     to_graph6,
 )
+from relpoly.graphs import _encode, _mult_and_loops
+
+
+def canonical_form_bruteforce(g):
+    """Minimum encoding over all n! relabelings; test oracle for small n."""
+    mult, loops = _mult_and_loops(g)
+    return min(
+        _encode(g.n, mult, loops, order)
+        for order in itertools.permutations(range(g.n))
+    )
 
 
 def test_components_examples():

@@ -131,25 +131,23 @@ def test_whitney_compare_c4_dominates_paw():
 
 
 def test_compare_antisymmetry():
-    memo = {}
     for spec in (ClassSpec(4, 4), ClassSpec(5, 6), ClassSpec(5, 7)):
         members = enumerate_class(spec)
         for g in members:
             for h in members:
-                r = whitney_compare(g, h, memo)
+                r = whitney_compare(g, h)
                 if r.verdict == DOMINATES:
-                    assert whitney_compare(h, g, memo).verdict != DOMINATES
+                    assert whitney_compare(h, g).verdict != DOMINATES
 
 
 def test_tutte_dominates_implies_whitney_dominates_small():
-    memo = {}
     for spec in (ClassSpec(4, 4), ClassSpec(4, 5), ClassSpec(5, 6)):
         members = enumerate_class(spec)
         for g in members:
             for h in members:
-                rt = tutte_compare(g, h, memo)
+                rt = tutte_compare(g, h)
                 if rt.verdict in (EQUAL, DOMINATES):
-                    assert whitney_compare(g, h, memo).verdict in (EQUAL, DOMINATES)
+                    assert whitney_compare(g, h).verdict in (EQUAL, DOMINATES)
 
 
 def test_compare_dimension_mismatch():

@@ -10,6 +10,8 @@ from relpoly.graphs import MultiGraph, SimpleGraph, components, fixture, parse_g
 from relpoly.poly import BivarPoly
 from relpoly.scan import ClassSpec, enumerate_class
 from relpoly.tutte import (
+    EXPANSION_MAX_EDGES,
+    _block_split,
     forest_gen,
     tree_number,
     tree_number_mtt,
@@ -99,6 +101,79 @@ def test_dc_multigraph_against_expansion_oracle():
         assert tutte_dc(mg) == multigraph_expansion_oracle(mg)
 
 
+def _bridged_multigraph(rng: random.Random) -> MultiGraph:
+    """At most 6 vertices: one of them isolated, the rest split in two parts
+    whose only link is a parallel class of multiplicity >= 2, plus loops.
+    A part may itself be disconnected."""
+    n = rng.randint(3, 6)
+    verts = list(range(n))
+    rng.shuffle(verts)
+    verts.pop()  # stays isolated
+    cut = rng.randint(1, len(verts) - 1)
+    parts = (verts[:cut], verts[cut:])
+    classes = [
+        (u, v, rng.choice((1, 1, 2)))
+        for part in parts
+        for u, v in itertools.combinations(sorted(part), 2)
+        if rng.random() < 0.7
+    ]
+    a, b = sorted((rng.choice(parts[0]), rng.choice(parts[1])))
+    classes.append((a, b, rng.randint(2, 3)))
+    for _ in range(rng.randint(1, 2)):
+        v = rng.randrange(n)
+        classes.append((v, v, 1))
+    return MultiGraph(n, tuple(classes))
+
+
+def test_dc_bridge_classes_against_expansion_oracle():
+    fixed = [
+        # two triangles joined only by a double class, a loop on one side
+        MultiGraph(6, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1),
+                       (2, 3, 2), (0, 0, 1))),
+        # a triple class as a whole component, a triangle, an isolated vertex
+        MultiGraph(6, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 3), (5, 5, 2))),
+        # a path of two double classes: both are bridges
+        MultiGraph(4, ((0, 1, 2), (1, 2, 2), (3, 3, 1))),
+    ]
+    rng = random.Random(22)
+    randoms = []
+    while len(randoms) < 40:
+        mg = _bridged_multigraph(rng)
+        if mg.m <= 11:  # keeps the 2^m oracle quick
+            randoms.append(mg)
+    for mg in fixed + randoms:
+        assert tutte_dc(mg) == multigraph_expansion_oracle(mg), mg
+
+
+def test_block_split_keeps_bridge_class_multiplicity():
+    # a triangle, a double class hanging off it, a triple class on its own,
+    # and an isolated vertex, which gives no block
+    edges = ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2), (4, 5, 3))
+    assert sorted(_block_split(7, edges)) == [
+        (2, ((0, 1, 2),)),
+        (2, ((0, 1, 3),)),
+        (3, ((0, 1, 1), (0, 2, 1), (1, 2, 1))),
+    ]
+    assert _block_split(3, ()) == []
+
+
+def _ladder(length: int) -> SimpleGraph:
+    rails = [(i, i + 1) for i in range(length - 1)]
+    rails += [(length + i, length + i + 1) for i in range(length - 1)]
+    rungs = [(i, length + i) for i in range(length)]
+    return SimpleGraph(2 * length, tuple(rails + rungs))
+
+
+@pytest.mark.parametrize("g", [_ladder(30), fixture("complete", 9)], ids=["ladder-2x30", "K9"])
+def test_dc_above_expansion_budget(g):
+    # the expansion oracle refuses these; T(1,1) and T(2,2) still have
+    # independent values: the matrix-tree determinant and 2^m
+    assert g.m > EXPANSION_MAX_EDGES
+    t = tutte_dc(g)
+    assert t.eval_rational(1, 1) == tree_number_mtt(g)
+    assert t.eval_rational(2, 2) == 2**g.m
+
+
 def test_isomorphism_invariance():
     rng = random.Random(13)
     for _ in range(20):
@@ -158,10 +233,9 @@ def test_tree_numbers():
 
 def test_tree_number_dual_route_random():
     rng = random.Random(17)
-    memo = {}
     for _ in range(40):
         g = random_connected(rng)
-        assert tree_number(g, memo=memo) == tree_number_mtt(g)
+        assert tree_number(g) == tree_number_mtt(g)
 
 
 def test_tree_number_matches_forest_gen_head():
@@ -203,7 +277,7 @@ def test_figure1_regressions():
     t_g = tutte_dc(g, memo)
     assert t_g == tutte_expansion(g)  # 2^18 oracle
     assert t_g.num_terms() == 37  # pinned after the dual-route run above
-    assert tree_number(g, memo=memo) == 9216  # pinned; equals the determinant route
+    assert tree_number(g) == 9216  # pinned; equals the determinant route
     assert tree_number_mtt(g) == 9216
 
 
