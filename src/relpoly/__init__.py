@@ -28,6 +28,7 @@ from .errors import (
     BudgetError,
     DimensionMismatchError,
     DisconnectedGraphError,
+    EmptyClassError,
     GraphFormatError,
     TableConsistencyError,
 )

@@ -12,12 +12,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .counts import (
+# reliability_via_tutte is unused here but stays importable from this module
+# for outside code that looks it up on it
+from .counts import (  # noqa: F401
     lambda_k,
     mu_vector,
     ntable_from_whitney,
     rel_eval,
     reliability,
+    reliability_from_tutte,
     reliability_via_tutte,
     t_k,
 )
@@ -25,6 +28,7 @@ from .errors import (
     BudgetError,
     DimensionMismatchError,
     DisconnectedGraphError,
+    EmptyClassError,
     GraphFormatError,
     TableConsistencyError,
 )
@@ -183,11 +187,13 @@ def _cmd_rel(args) -> int:
     g = load_graph(args.graph)
     _require_connected_input(g)
     p = _parse_rational(args.p)
-    table = ntable_from_whitney(whitney(g), g.n, g.m)
+    # one deletion-contraction serves both routes: W(x, y) = T(x + 1, y + 1)
+    tutte = tutte_dc(g)
+    table = ntable_from_whitney(tutte.shift_vars(1, 1), g.n, g.m)
     value = rel_eval(reliability(table, args.k), p)
     out = {"k": args.k, "p": str(p), "value": str(value)}
     if args.via_tutte:
-        out["via_tutte"] = str(reliability_via_tutte(g, p))
+        out["via_tutte"] = str(reliability_from_tutte(tutte, g.n, g.m, p))
     _dump(out)
     return EXIT_OK
 
@@ -279,7 +285,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, EmptyClassError) as exc:
         _emit_error("usage", str(exc))
         return EXIT_USAGE
     except BudgetError as exc:

@@ -157,15 +157,20 @@ def rel_eval(rp: ReliabilityPoly, p: Fraction | int) -> Fraction:
 
 def reliability_via_tutte(g: SimpleGraph, p: Fraction | int) -> Fraction:
     """Connectedness probability via p^{n-1} (1-p)^{m-n+1} T(1, 1/(1-p))."""
-    p = Fraction(p)
-    if not 0 < p < 1:
-        raise ValueError(f"the Tutte route needs p strictly inside (0, 1); got {p}")
     kappa, _ = components(g)
     if kappa != 1:
         raise DisconnectedGraphError("reliability_via_tutte needs a connected graph")
-    t = tutte_dc(g)
+    return reliability_from_tutte(tutte_dc(g), g.n, g.m, p)
+
+
+def reliability_from_tutte(t: BivarPoly, n: int, m: int, p: Fraction | int) -> Fraction:
+    """p^{n-1} (1-p)^{m-n+1} T(1, 1/(1-p)): the connectedness probability of
+    a connected (n, m)-graph whose Tutte polynomial is t."""
+    p = Fraction(p)
+    if not 0 < p < 1:
+        raise ValueError(f"the Tutte route needs p strictly inside (0, 1); got {p}")
     value = t.eval_rational(Fraction(1), 1 / (1 - p))
-    return p ** (g.n - 1) * (1 - p) ** (g.m - g.n + 1) * value
+    return p ** (n - 1) * (1 - p) ** (m - n + 1) * value
 
 
 def lambda_k(table: NTable, k: int) -> int | None:

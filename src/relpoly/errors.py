@@ -13,6 +13,11 @@ class DisconnectedGraphError(ValueError):
     """An operation that requires a connected graph got a disconnected one."""
 
 
+class EmptyClassError(ValueError):
+    """The class C(n, m) holds no connected graph: n < 1, or m outside
+    n-1 .. n(n-1)/2."""
+
+
 class BudgetError(RuntimeError):
     """A computation was refused because it exceeds its enumeration budget."""
 

@@ -4,12 +4,20 @@ Enumeration produces one canonically labeled representative per isomorphism
 class (via complements when the class is dense); the scan then derives every
 member's Whitney polynomial, count table, and flags, and certifies the
 Whitney/Tutte maxima by polynomial division.
+
+By default only the members that dominate the class maxima of the count
+table are certified (the prefilter); ScanConfig(prefilter=False) certifies
+every member.  Each candidate is compared first with the members that
+refuted earlier candidates, and the Tutte pass starts from the refuters of
+the Whitney pass, so a full scan makes a few compares per member instead of
+a pass over the class for each.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from .counts import (
@@ -19,7 +27,7 @@ from .counts import (
     ntable_from_whitney,
     t_k,
 )
-from .errors import BudgetError
+from .errors import BudgetError, EmptyClassError
 # canonical_form and canonical_relabel are unused here but stay importable
 # from this module for outside code that looks them up on it
 from .graphs import (  # noqa: F401
@@ -45,9 +53,9 @@ class ClassSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+            raise EmptyClassError(f"need n >= 1, got {self.n}")
         if not self.n - 1 <= self.m <= self.n * (self.n - 1) // 2:
-            raise ValueError(
+            raise EmptyClassError(
                 f"C({self.n}, {self.m}) is empty: need {self.n - 1} <= m <= "
                 f"{self.n * (self.n - 1) // 2}"
             )
@@ -256,6 +264,33 @@ def _table_digest(table: NTable) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _maxima_flags(polys, candidates, compare, refuters: dict) -> list[bool]:
+    """flags[i]: whether compare(polys[i], p).ok() for every p in polys,
+    decided for each i in candidates (False for the others).
+
+    The members that refuted earlier candidates are tried first, the latest
+    first, then the rest in member order; a candidate that passes counts as
+    the latest, since a maximum refutes every non-maximum of a transitive
+    order.  So one good refuter serves most of the class.  refuters is an
+    insertion-ordered set (a dict of None values), updated in place so that
+    a later pass can start from it.  Each flag is a conjunction, so the order
+    of the compares changes only how many are made."""
+    flags = [False] * len(polys)
+    for i in candidates:
+        # compare(p, p) is Equal, so a candidate skips itself
+        recent = [j for j in reversed(refuters) if j != i]
+        rest = (j for j in range(len(polys)) if j != i and j not in refuters)
+        for j in chain(recent, rest):
+            if not compare(polys[i], polys[j]).ok():
+                break
+        else:
+            flags[i] = True
+            j = i
+        refuters.pop(j, None)
+        refuters[j] = None
+    return flags
+
+
 def scan(spec: ClassSpec, config: ScanConfig | None = None) -> ClassReport:
     """Classify every member of C(n, m): strong / 0-element / Whitney-maximum /
     Tutte-maximum / t-optimal, with division certificates for the maxima."""
@@ -295,23 +330,22 @@ def scan(spec: ClassSpec, config: ScanConfig | None = None) -> ClassReport:
     t1_max = max(d.t_list[0] for d in data)
     t_opt = [d.t_list[0] == t1_max for d in data]
 
-    whitney_candidates = (
-        [i for i in range(count) if strong[i]] if cfg.prefilter else range(count)
+    polys = [d.whitney for d in data]
+    refuters: dict[int, None] = {}
+    whitney_max = _maxima_flags(
+        polys,
+        [i for i in range(count) if strong[i]] if cfg.prefilter else range(count),
+        compare_whitney_polys,
+        refuters,
     )
-    whitney_max = [False] * count
-    for i in whitney_candidates:
-        whitney_max[i] = all(
-            compare_whitney_polys(data[i].whitney, d.whitney).ok() for d in data
-        )
-
-    tutte_candidates = (
-        [i for i in range(count) if whitney_max[i]] if cfg.prefilter else range(count)
+    # Tutte domination implies Whitney domination, so a member that refutes
+    # a candidate in the Whitney order refutes it in the Tutte order too
+    tutte_max = _maxima_flags(
+        polys,
+        [i for i in range(count) if whitney_max[i]] if cfg.prefilter else range(count),
+        compare_tutte_polys,
+        refuters,
     )
-    tutte_max = [False] * count
-    for i in tutte_candidates:
-        tutte_max[i] = all(
-            compare_tutte_polys(data[i].whitney, d.whitney).ok() for d in data
-        )
 
     reports = tuple(
         MemberReport(

@@ -1,9 +1,11 @@
 """End-to-end CLI checks: schemas, exit codes, determinism."""
+import importlib
 import json
 
 from relpoly.cli import main
 from relpoly.graphs import fixture, to_graph6
 from relpoly.poly import BivarPoly
+from relpoly.tutte import tutte_dc
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +28,28 @@ def test_rel_via_tutte(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["value"] == payload["via_tutte"]
+
+
+def test_rel_via_tutte_runs_deletion_contraction_once(capsys, monkeypatch):
+    tutte_module = importlib.import_module("relpoly.tutte")
+    original = tutte_module._dc_block
+    nodes = []
+
+    def spy(core, memo):
+        nodes.append(core)
+        return original(core, memo)
+
+    monkeypatch.setattr(tutte_module, "_dc_block", spy)
+    tutte_dc(fixture("figure1_G"))
+    one_run = len(nodes)
+    nodes.clear()
+    code, out, _ = run_cli(
+        capsys, "rel", "--graph", "fixture:figure1_G", "--k", "1", "--p", "1/2", "--via-tutte"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == payload["via_tutte"] == "42605/65536"
+    assert len(nodes) == one_run  # 249 nodes, where a DC per route made 498
 
 
 def test_compare_tutte_figure1(capsys):
@@ -169,6 +193,19 @@ def test_usage_errors_are_json_on_stderr(capsys):
         assert code == 2 and not out
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "usage"
+
+
+def test_empty_class_is_usage_refusal(capsys):
+    # C(3, 10) is empty: three vertices carry at most three edges
+    for argv in (
+        ["scan", "--n", "3", "--m", "10"],
+        ["certify", "--graph", "fixture:cycle:3", "--n", "3", "--m", "10"],
+        ["scan", "--n", "0", "--m", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "usage", argv
 
 
 def test_out_of_range_k_is_usage_error(capsys):

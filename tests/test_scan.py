@@ -9,7 +9,7 @@ import pytest
 
 from conftest import all_labeled_graphs
 from relpoly.cli import main
-from relpoly.errors import BudgetError
+from relpoly.errors import BudgetError, EmptyClassError
 from relpoly.graphs import (
     SimpleGraph,
     automorphism_count,
@@ -17,6 +17,7 @@ from relpoly.graphs import (
     fixture,
     parse_graph6,
 )
+from relpoly.order import compare_tutte_polys, compare_whitney_polys
 from relpoly.scan import (
     ClassSpec,
     ScanConfig,
@@ -26,6 +27,7 @@ from relpoly.scan import (
     scan,
     verify_section4,
 )
+from relpoly.tutte import whitney
 
 
 def brute_class_certs(n, m):
@@ -38,12 +40,10 @@ def brute_class_certs(n, m):
 def test_class_spec_bounds():
     ClassSpec(1, 0)
     ClassSpec(4, 6)
-    with pytest.raises(ValueError):
-        ClassSpec(4, 2)
-    with pytest.raises(ValueError):
-        ClassSpec(4, 7)
-    with pytest.raises(ValueError):
-        ClassSpec(0, 0)
+    for n, m in ((4, 2), (4, 7), (0, 0)):
+        with pytest.raises(EmptyClassError):
+            ClassSpec(n, m)
+    assert issubclass(EmptyClassError, ValueError)
     with pytest.raises(BudgetError):
         enumerate_class(ClassSpec(10, 9))
 
@@ -234,6 +234,42 @@ def test_theorem2_and_lemma1_small_classes_without_prefilter():
         wm = {r.graph6 for r in full.members if r.whitney_max}
         tm = {r.graph6 for r in full.members if r.tutte_max}
         assert tm <= wm  # Tutte-maximum members are Whitney-maximum
+
+
+def test_maxima_flags_match_pairwise_oracle():
+    # every ordered pair compared, no short-circuit
+    for n in range(1, 7):
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            spec = ClassSpec(n, m)
+            polys = [whitney(g) for g in enumerate_class(spec)]
+            oracle = {}
+            for name, compare in (("whitney_max", compare_whitney_polys),
+                                  ("tutte_max", compare_tutte_polys)):
+                verdicts = [[compare(p, q).ok() for q in polys] for p in polys]
+                oracle[name] = [all(row) for row in verdicts]
+            for report in (scan(spec, ScanConfig(prefilter=False)), scan(spec)):
+                for name, flags in oracle.items():
+                    assert [getattr(r, name) for r in report.members] == flags, (n, m, name)
+
+
+def test_full_scan_tries_the_last_refuter_first(monkeypatch):
+    # C(7, 10) has one Whitney-maximum member among 132.  Certifying each
+    # member with all() in member order made 1,354 Whitney and 1,354 Tutte
+    # compares; with the refuters tried first it makes 497 and 262.
+    member_order_compares = 1354 + 1354
+    scan_module = importlib.import_module("relpoly.scan")
+    calls = []
+    for name in ("compare_whitney_polys", "compare_tutte_polys"):
+        original = getattr(scan_module, name)
+
+        def spy(w_g, w_h, original=original):
+            calls.append(1)
+            return original(w_g, w_h)
+
+        monkeypatch.setattr(scan_module, name, spy)
+    report = scan(ClassSpec(7, 10), ScanConfig(prefilter=False))
+    assert report.summary["whitney_max"] == 1
+    assert len(calls) < member_order_compares
 
 
 def test_scan_limit_smoke_mode():
