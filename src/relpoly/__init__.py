@@ -30,6 +30,7 @@ from .errors import (
     DisconnectedGraphError,
     EmptyClassError,
     GraphFormatError,
+    ParameterError,
     TableConsistencyError,
 )
 from .graphs import (
@@ -59,7 +60,6 @@ from .poly import BivarPoly
 from .scan import (
     ClassReport,
     ClassSpec,
-    ScanConfig,
     enumerate_class,
     labeled_connected_count,
     scan,

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .errors import DisconnectedGraphError, TableConsistencyError
+from .errors import DisconnectedGraphError, ParameterError, TableConsistencyError
 from .graphs import SimpleGraph, components, edge_subset_census
 from .poly import BivarPoly
 from .tutte import tutte_dc
@@ -137,7 +137,7 @@ class ReliabilityPoly:
 
 def reliability(table: NTable, k: int) -> ReliabilityPoly:
     if not 1 <= k <= table.n:
-        raise IndexError(f"k={k} outside 1..{table.n}")
+        raise ParameterError(f"k={k} outside 1..{table.n}")
     return ReliabilityPoly(
         table.m, k, tuple(table.prefix[i][k] for i in range(table.m + 1))
     )
@@ -146,7 +146,7 @@ def reliability(table: NTable, k: int) -> ReliabilityPoly:
 def rel_eval(rp: ReliabilityPoly, p: Fraction | int) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError(f"p = {p} outside [0, 1]")
+        raise ParameterError(f"p = {p} outside [0, 1]")
     q = 1 - p
     total = Fraction(0)
     for i, c in enumerate(rp.coeffs):
@@ -168,7 +168,7 @@ def reliability_from_tutte(t: BivarPoly, n: int, m: int, p: Fraction | int) -> F
     a connected (n, m)-graph whose Tutte polynomial is t."""
     p = Fraction(p)
     if not 0 < p < 1:
-        raise ValueError(f"the Tutte route needs p strictly inside (0, 1); got {p}")
+        raise ParameterError(f"the Tutte route needs p strictly inside (0, 1); got {p}")
     value = t.eval_rational(Fraction(1), 1 / (1 - p))
     return p ** (n - 1) * (1 - p) ** (m - n + 1) * value
 

@@ -18,6 +18,12 @@ class EmptyClassError(ValueError):
     n-1 .. n(n-1)/2."""
 
 
+class ParameterError(ValueError):
+    """A numeric parameter lies outside its range: p outside [0, 1] (or
+    (0, 1) on the Tutte route), k outside 1..n, a trial count below 1, or a
+    cross-check tolerance that is not finite and positive."""
+
+
 class BudgetError(RuntimeError):
     """A computation was refused because it exceeds its enumeration budget."""
 

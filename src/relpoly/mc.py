@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counts import ntable_from_whitney, rel_eval, reliability
+from .errors import ParameterError
 from .graphs import SimpleGraph
 from .tutte import whitney
 
@@ -32,11 +33,11 @@ def estimate(g: SimpleGraph, k: int, p, trials: int, seed: int) -> McEstimate:
 
     p = Fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError(f"p = {p} outside [0, 1]")
+        raise ParameterError(f"p = {p} outside [0, 1]")
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ParameterError("need at least one trial")
     if not 1 <= k <= g.n:
-        raise ValueError(f"k = {k} outside 1..{g.n}")
+        raise ParameterError(f"k = {k} outside 1..{g.n}")
     n, m = g.n, g.m
     us = [e[0] for e in g.edges]
     vs = [e[1] for e in g.edges]
@@ -114,6 +115,10 @@ def cross_check(
     meaningful scale.  exact defaults to the Whitney-route value; pass a
     corrupted value to exercise the negative-control path.
     """
+    if not (math.isfinite(tolerance_sigmas) and tolerance_sigmas > 0):
+        raise ParameterError(
+            f"tolerance of {tolerance_sigmas} sigmas; need a finite positive number"
+        )
     est = estimate(g, k, p, trials, seed)
     if exact is None:
         table = ntable_from_whitney(whitney(g), g.n, g.m)

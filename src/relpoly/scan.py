@@ -5,12 +5,13 @@ class (via complements when the class is dense); the scan then derives every
 member's Whitney polynomial, count table, and flags, and certifies the
 Whitney/Tutte maxima by polynomial division.
 
-By default only the members that dominate the class maxima of the count
-table are certified (the prefilter); ScanConfig(prefilter=False) certifies
-every member.  Each candidate is compared first with the members that
+Every member is certified in the Whitney order, so the theorem check
+(strong == Whitney-maximum) tests both directions without using either; the
+Tutte pass certifies only the Whitney maxima, since Tutte domination implies
+Whitney domination.  Each candidate is compared first with the members that
 refuted earlier candidates, and the Tutte pass starts from the refuters of
-the Whitney pass, so a full scan makes a few compares per member instead of
-a pass over the class for each.
+the Whitney pass, so a scan makes a few compares per member instead of a
+pass over the class for each.
 """
 from __future__ import annotations
 
@@ -182,12 +183,6 @@ def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
     )
 
 
-@dataclass
-class ScanConfig:
-    prefilter: bool = True  # restrict division certificates to table-maxima
-    limit: int | None = None  # smoke mode: scan only the first N members
-
-
 @dataclass(frozen=True)
 class MemberReport:
     graph6: str
@@ -266,7 +261,9 @@ def _table_digest(table: NTable) -> str:
 
 def _maxima_flags(polys, candidates, compare, refuters: dict) -> list[bool]:
     """flags[i]: whether compare(polys[i], p).ok() for every p in polys,
-    decided for each i in candidates (False for the others).
+    decided for each i in candidates (False for the others).  scan passes
+    every member in the Whitney order and only the Whitney maxima in the
+    Tutte order.
 
     The members that refuted earlier candidates are tried first, the latest
     first, then the rest in member order; a candidate that passes counts as
@@ -291,14 +288,14 @@ def _maxima_flags(polys, candidates, compare, refuters: dict) -> list[bool]:
     return flags
 
 
-def scan(spec: ClassSpec, config: ScanConfig | None = None) -> ClassReport:
+def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     """Classify every member of C(n, m): strong / 0-element / Whitney-maximum /
-    Tutte-maximum / t-optimal, with division certificates for the maxima."""
-    cfg = config or ScanConfig()
+    Tutte-maximum / t-optimal, with division certificates for the maxima.
+    limit (smoke mode) scans only the first members; the report is partial."""
     members = enumerate_class(spec)
-    truncated = cfg.limit is not None and cfg.limit < len(members)
+    truncated = limit is not None and limit < len(members)
     if truncated:
-        members = members[: cfg.limit]
+        members = members[:limit]
     if not members:
         raise BudgetError(f"scan of C({spec.n}, {spec.m}) produced no members")
 
@@ -332,19 +329,11 @@ def scan(spec: ClassSpec, config: ScanConfig | None = None) -> ClassReport:
 
     polys = [d.whitney for d in data]
     refuters: dict[int, None] = {}
-    whitney_max = _maxima_flags(
-        polys,
-        [i for i in range(count) if strong[i]] if cfg.prefilter else range(count),
-        compare_whitney_polys,
-        refuters,
-    )
-    # Tutte domination implies Whitney domination, so a member that refutes
-    # a candidate in the Whitney order refutes it in the Tutte order too
+    whitney_max = _maxima_flags(polys, range(count), compare_whitney_polys, refuters)
+    # Tutte domination implies Whitney domination: only a Whitney maximum can
+    # be a Tutte maximum, and a Whitney refuter refutes in the Tutte order too
     tutte_max = _maxima_flags(
-        polys,
-        [i for i in range(count) if whitney_max[i]] if cfg.prefilter else range(count),
-        compare_tutte_polys,
-        refuters,
+        polys, [i for i in range(count) if whitney_max[i]], compare_tutte_polys, refuters
     )
 
     reports = tuple(

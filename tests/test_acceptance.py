@@ -26,7 +26,6 @@ from relpoly.order import DOMINATES, EQUAL, compare_tutte_polys, compare_whitney
 from relpoly.poly import BivarPoly
 from relpoly.scan import (
     ClassSpec,
-    ScanConfig,
     enumerate_class,
     labeled_connected_count,
     scan,

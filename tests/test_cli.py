@@ -2,6 +2,8 @@
 import importlib
 import json
 
+import pytest
+
 from relpoly.cli import main
 from relpoly.graphs import fixture, to_graph6
 from relpoly.poly import BivarPoly
@@ -121,9 +123,14 @@ def test_scan_limit_marks_partial(capsys):
 
 
 def test_scan_full_does_not_change_results(capsys):
+    # every scan certifies every member; --full stays accepted, unlisted
     _, base, _ = run_cli(capsys, "scan", "--n", "5", "--m", "6")
-    _, full, _ = run_cli(capsys, "scan", "--n", "5", "--m", "6", "--full")
-    assert base == full
+    code, full, _ = run_cli(capsys, "scan", "--n", "5", "--m", "6", "--full")
+    assert code == 0 and base == full
+    with pytest.raises(SystemExit):
+        main(["scan", "--help"])
+    usage = capsys.readouterr().out
+    assert "--limit" in usage and "--full" not in usage
 
 
 def test_certify_maximum_and_expect_flag(capsys):
@@ -213,7 +220,66 @@ def test_out_of_range_k_is_usage_error(capsys):
         capsys, "rel", "--graph", "fixture:cycle:3", "--k", "9", "--p", "1/2"
     )
     assert code == 2
-    assert json.loads(err)["error"] == "parse"
+    assert json.loads(err)["error"] == "usage"
+
+
+_C3 = ["--graph", "fixture:cycle:3"]
+_MC = ["mc", *_C3, "--k", "1", "--p", "1/2", "--trials", "100"]
+
+# one malformed or out-of-scope argv per subcommand at least, with the
+# error kind and exit code it must get
+_REFUSALS = [
+    (["poly", "--graph", "g6:"], "parse", 2),
+    (["poly", "--graph", "fixture:complete:8", "--method", "expansion"], "budget", 3),
+    (["counts", "--graph", "fixture:no_such_fixture"], "parse", 2),
+    (["counts", "--graph", "g6:C`"], "input", 2),
+    (["rel", *_C3, "--k", "0", "--p", "1/2"], "usage", 2),
+    (["rel", *_C3, "--k", "1", "--p", "3/2"], "usage", 2),
+    (["rel", *_C3, "--k", "1", "--p", "1", "--via-tutte"], "usage", 2),
+    (["rel", *_C3, "--k", "one", "--p", "1/2"], "usage", 2),
+    (["compare", "--g", "fixture:cycle:3", "--h", "fixture:cycle:4"], "parse", 2),
+    (["compare", "--g", "fixture:cycle:3", "--h", "fixture:cycle:3", "--order", "x"],
+     "usage", 2),
+    (["scan", "--n", "10", "--m", "9"], "budget", 3),
+    (["scan", "--n", "5", "--m", "6", "--limit", "0"], "usage", 2),
+    (["certify", *_C3, "--n", "4", "--m", "4"], "parse", 2),
+    (["certify", *_C3, "--n", "3"], "usage", 2),
+    (["mc", *_C3, "--k", "1", "--p", "1/2", "--trials", "0"], "usage", 2),
+    (["mc", *_C3, "--k", "0", "--p", "1/2", "--trials", "100"], "usage", 2),
+    (["mc", *_C3, "--k", "1", "--p", "3/2", "--trials", "100"], "usage", 2),
+    ([*_MC, "--cross-check", "--sigmas", "-1"], "usage", 2),
+    ([*_MC, "--cross-check", "--sigmas", "0"], "usage", 2),
+    ([*_MC, "--cross-check", "--sigmas", "nan"], "usage", 2),
+    ([*_MC, "--cross-check", "--sigmas", "inf"], "usage", 2),
+    (["mc", "--graph", "g6:C`", "--k", "1", "--p", "1/2", "--trials", "100",
+      "--cross-check"], "input", 2),
+    (["frobnicate"], "usage", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, kind, exit_code", _REFUSALS, ids=[" ".join(argv) for argv, _, _ in _REFUSALS]
+)
+def test_cli_refusal_contract(capsys, argv, kind, exit_code):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == exit_code and not out
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == kind
+    assert payload["message"]
+
+
+def test_mc_cross_check_refuses_disconnected_graph(capsys):
+    # only --cross-check needs the exact count table; plain estimates run
+    argv = ["mc", "--graph", "g6:C`", "--k", "2", "--p", "1/2", "--trials", "100"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert 0 < json.loads(out)["mean"] <= 1
+    code, out, err = run_cli(capsys, *argv, "--cross-check")
+    assert code == 2 and not out
+    assert json.loads(err) == {
+        "error": "input", "message": "count tables need a connected input graph"
+    }
 
 
 def test_certify_dimension_mismatch(capsys):
@@ -276,7 +342,7 @@ def test_disconnected_input_error(capsys):
     # the count-table route requires a connected graph and must refuse cleanly
     code, out, err = run_cli(capsys, "rel", "--graph", "g6:C`", "--k", "1", "--p", "1/2")
     assert code == 2 and not out
-    assert json.loads(err)["error"] in ("input", "parse")
+    assert json.loads(err)["error"] == "input"
 
 
 def test_output_is_byte_deterministic(capsys):

@@ -22,7 +22,7 @@ from relpoly.counts import (
     reliability_via_tutte,
     t_k,
 )
-from relpoly.errors import DisconnectedGraphError, TableConsistencyError
+from relpoly.errors import DisconnectedGraphError, ParameterError, TableConsistencyError
 from relpoly.graphs import SimpleGraph, fixture
 from relpoly.poly import BivarPoly
 from relpoly.scan import ClassSpec, enumerate_class
@@ -123,8 +123,11 @@ def test_reliability_triangle():
     assert rel_eval(rp, 1) == 1
     assert rel_eval(rp, 0) == 0
     assert rel_eval(reliability(t, 3), Fraction(1, 7)) == 1  # k = n
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         rel_eval(rp, Fraction(3, 2))
+    for k in (0, 4):
+        with pytest.raises(ParameterError):
+            reliability(t, k)
 
 
 def test_reliability_monotone_in_k():
@@ -147,9 +150,9 @@ def test_reliability_via_tutte_examples():
     c4 = fixture("cycle", 4)
     direct = rel_eval(reliability(table_of(c4), 1), Fraction(1, 3))
     assert reliability_via_tutte(c4, Fraction(1, 3)) == direct
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         reliability_via_tutte(k2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         reliability_via_tutte(k2, 0)
     with pytest.raises(DisconnectedGraphError):
         reliability_via_tutte(SimpleGraph(3, ((0, 1),)), Fraction(1, 2))

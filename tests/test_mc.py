@@ -9,6 +9,7 @@ import pytest
 
 import relpoly
 from relpoly.counts import ntable_from_whitney, rel_eval, reliability
+from relpoly.errors import ParameterError
 from relpoly.graphs import SimpleGraph, fixture
 from relpoly.mc import BATCH_SIZE, cross_check, estimate
 from relpoly.tutte import whitney
@@ -85,12 +86,15 @@ def test_near_certain_event_passes():
 
 def test_estimate_validation():
     g = fixture("cycle", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         estimate(g, 1, Fraction(3, 2), 10, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         estimate(g, 0, Fraction(1, 2), 10, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         estimate(g, 1, Fraction(1, 2), 0, seed=0)
+    for sigmas in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            cross_check(g, 1, Fraction(1, 2), 10, 0, sigmas)
 
 
 def test_edgeless_graph():

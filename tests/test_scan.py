@@ -17,10 +17,9 @@ from relpoly.graphs import (
     fixture,
     parse_graph6,
 )
-from relpoly.order import compare_tutte_polys, compare_whitney_polys
+from relpoly.order import DOMINATES, OrderResult, compare_tutte_polys, compare_whitney_polys
 from relpoly.scan import (
     ClassSpec,
-    ScanConfig,
     _graphs_with_edges,
     enumerate_class,
     labeled_connected_count,
@@ -225,15 +224,27 @@ def test_scan_trivial_classes():
     assert verify_section4(two).ok
 
 
-def test_theorem2_and_lemma1_small_classes_without_prefilter():
+def test_theorem2_and_lemma1_small_classes():
     for spec in (ClassSpec(4, 4), ClassSpec(5, 5), ClassSpec(5, 6), ClassSpec(5, 7)):
-        fast = scan(spec)
-        full = scan(spec, ScanConfig(prefilter=False))
-        assert fast.to_json_dict() == full.to_json_dict()
-        assert full.theorem2_check
-        wm = {r.graph6 for r in full.members if r.whitney_max}
-        tm = {r.graph6 for r in full.members if r.tutte_max}
+        report = scan(spec)
+        assert report.theorem2_check
+        wm = {r.graph6 for r in report.members if r.whitney_max}
+        tm = {r.graph6 for r in report.members if r.tutte_max}
         assert tm <= wm  # Tutte-maximum members are Whitney-maximum
+
+
+def test_theorem2_check_certifies_members_that_are_not_strong(monkeypatch):
+    # negative control: a Whitney order that calls every pair Dominates makes
+    # every member Whitney-maximum, and C(5, 6) has members that are not
+    # strong, so the check must fail rather than certify only strong members
+    scan_module = importlib.import_module("relpoly.scan")
+    monkeypatch.setattr(
+        scan_module, "compare_whitney_polys", lambda w_g, w_h: OrderResult(DOMINATES)
+    )
+    report = scan(ClassSpec(5, 6))
+    assert not report.theorem2_check
+    assert not all(r.strong for r in report.members)
+    assert all(r.whitney_max for r in report.members)
 
 
 def test_maxima_flags_match_pairwise_oracle():
@@ -247,15 +258,16 @@ def test_maxima_flags_match_pairwise_oracle():
                                   ("tutte_max", compare_tutte_polys)):
                 verdicts = [[compare(p, q).ok() for q in polys] for p in polys]
                 oracle[name] = [all(row) for row in verdicts]
-            for report in (scan(spec, ScanConfig(prefilter=False)), scan(spec)):
-                for name, flags in oracle.items():
-                    assert [getattr(r, name) for r in report.members] == flags, (n, m, name)
+            report = scan(spec)
+            for name, flags in oracle.items():
+                assert [getattr(r, name) for r in report.members] == flags, (n, m, name)
 
 
 def test_full_scan_tries_the_last_refuter_first(monkeypatch):
     # C(7, 10) has one Whitney-maximum member among 132.  Certifying each
     # member with all() in member order made 1,354 Whitney and 1,354 Tutte
-    # compares; with the refuters tried first it makes 497 and 262.
+    # compares; with the refuters tried first, and the Tutte pass run on the
+    # Whitney maximum only, it makes 497 and 131.
     member_order_compares = 1354 + 1354
     scan_module = importlib.import_module("relpoly.scan")
     calls = []
@@ -267,13 +279,13 @@ def test_full_scan_tries_the_last_refuter_first(monkeypatch):
             return original(w_g, w_h)
 
         monkeypatch.setattr(scan_module, name, spy)
-    report = scan(ClassSpec(7, 10), ScanConfig(prefilter=False))
+    report = scan(ClassSpec(7, 10))
     assert report.summary["whitney_max"] == 1
     assert len(calls) < member_order_compares
 
 
 def test_scan_limit_smoke_mode():
-    report = scan(ClassSpec(5, 6), ScanConfig(limit=2))
+    report = scan(ClassSpec(5, 6), limit=2)
     assert report.partial
     assert report.summary["class_size"] == 2
     full = scan(ClassSpec(5, 6))
