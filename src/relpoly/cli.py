@@ -1,15 +1,19 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 negative verdict (failed --expect-maximum or
-cross-check), 2 usage or parse error (a parameter out of range, such as k
-outside 1..n or p outside [0, 1], is a usage error), 3 budget refusal.
-All rationals cross the interface as "a/b" strings; errors go to stderr as
-one JSON line.
+cross-check), 2 refused input: "usage" (ParameterError: a bad option, or a
+parameter out of range, such as k outside 1..n or p outside [0, 1]),
+"parse" (GraphFormatError, DimensionMismatchError) or "input" (a
+disconnected graph where a connected one is needed), 3 budget refusal,
+4 "internal": any other exception, a fault of the program rather than of
+the input.  All rationals cross the interface as "a/b" strings; errors go
+to stderr as one JSON line {"error": kind, "message": text}.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,12 +34,18 @@ from .errors import (
     BudgetError,
     DimensionMismatchError,
     DisconnectedGraphError,
-    EmptyClassError,
     GraphFormatError,
     ParameterError,
     TableConsistencyError,
 )
-from .graphs import SimpleGraph, fixture, parse_edge_list, parse_graph6, to_graph6
+from .graphs import (
+    SimpleGraph,
+    fixture,
+    parse_edge_list,
+    parse_graph6,
+    require_connected,
+    to_graph6,
+)
 from .mc import cross_check, estimate
 from .order import TUTTE, WHITNEY, certify_maximum, tutte_compare, whitney_compare
 from .scan import ClassSpec, enumerate_class, scan
@@ -45,15 +55,12 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-class _UsageError(Exception):
-    pass
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse errors through the JSON path
-        raise _UsageError(message)
+        raise ParameterError(message)
 
 
 def load_graph(src: str) -> SimpleGraph:
@@ -71,16 +78,20 @@ def load_graph(src: str) -> SimpleGraph:
     if src.startswith("g6:"):
         return parse_graph6(src[3:])
     path = Path(src[5:] if src.startswith("file:") else src)
-    if not path.exists():
-        raise GraphFormatError(f"no such graph file: {path}")
-    return parse_edge_list(path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read graph file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise GraphFormatError(f"graph file {path} is not UTF-8 text") from None
+    return parse_edge_list(text)
 
 
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"bad rational {text!r}; expected 'a/b'") from None
+        raise ParameterError(f"bad rational {text!r}; expected 'a/b'") from None
 
 
 def _dump(obj) -> None:
@@ -167,14 +178,9 @@ def _cmd_poly(args) -> int:
     return EXIT_OK
 
 
-def _require_connected_input(g: SimpleGraph) -> None:
-    if not g.is_connected():
-        raise DisconnectedGraphError("count tables need a connected input graph")
-
-
 def _cmd_counts(args) -> int:
     g = load_graph(args.graph)
-    _require_connected_input(g)
+    require_connected(g)
     table = ntable_from_whitney(whitney(g), g.n, g.m)
     _dump(
         {
@@ -189,7 +195,7 @@ def _cmd_counts(args) -> int:
 
 def _cmd_rel(args) -> int:
     g = load_graph(args.graph)
-    _require_connected_input(g)
+    require_connected(g)
     p = _parse_rational(args.p)
     # one deletion-contraction serves both routes: W(x, y) = T(x + 1, y + 1)
     tutte = tutte_dc(g)
@@ -213,11 +219,18 @@ def _cmd_compare(args) -> int:
 
 def _cmd_scan(args) -> int:
     if args.limit is not None and args.limit < 1:
-        raise _UsageError("--limit must be at least 1")
+        raise ParameterError("--limit must be at least 1")
+    csv = Path(args.csv) if args.csv else None
+    # refuse an unwritable CSV path before the scan, not after it
+    if csv is not None and not os.access(csv.parent, os.W_OK):
+        raise ParameterError(f"cannot write {csv}: {csv.parent} is missing or not writable")
     spec = ClassSpec(args.n, args.m)
     report = scan(spec, args.limit)
-    if args.csv:
-        Path(args.csv).write_text("\n".join(report.to_csv_rows()) + "\n")
+    if csv is not None:
+        try:
+            csv.write_text("\n".join(report.to_csv_rows()) + "\n")
+        except OSError as exc:
+            raise ParameterError(f"cannot write {csv}: {exc.strerror}") from None
     _dump(report.to_json_dict())
     return EXIT_OK
 
@@ -230,8 +243,7 @@ def _cmd_certify(args) -> int:
         raise DimensionMismatchError(
             f"graph has (n, m) = ({g.n}, {g.m}); the class is C({spec.n}, {spec.m})"
         )
-    if not g.is_connected():
-        raise DisconnectedGraphError(f"C({spec.n}, {spec.m}) holds connected graphs only")
+    require_connected(g)
     members = enumerate_class(spec)
     outcome = certify_maximum(g, members, order=args.order, collect_all=args.full)
     payload = {
@@ -253,7 +265,7 @@ def _cmd_mc(args) -> int:
     g = load_graph(args.graph)
     p = _parse_rational(args.p)
     if args.do_cross_check:
-        _require_connected_input(g)  # the exact side needs a count table
+        require_connected(g)  # the exact side needs a count table
         report = cross_check(g, args.k, p, args.trials, args.seed, args.sigmas)
         est = report.estimate
         _dump(
@@ -289,7 +301,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, EmptyClassError, ParameterError) as exc:
+    except ParameterError as exc:  # EmptyClassError included
         _emit_error("usage", str(exc))
         return EXIT_USAGE
     except BudgetError as exc:
@@ -298,9 +310,12 @@ def main(argv=None) -> int:
     except (DisconnectedGraphError, TableConsistencyError) as exc:
         _emit_error("input", str(exc))
         return EXIT_USAGE
-    except (GraphFormatError, DimensionMismatchError, ValueError, IndexError) as exc:
+    except (GraphFormatError, DimensionMismatchError) as exc:
         _emit_error("parse", str(exc))
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of its input
+        _emit_error("internal", f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,12 +9,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .errors import DisconnectedGraphError, ParameterError, TableConsistencyError
-from .graphs import SimpleGraph, components, edge_subset_census
+from .errors import DimensionMismatchError, ParameterError, TableConsistencyError
+from .graphs import SimpleGraph, edge_subset_census, require_connected
 from .poly import BivarPoly
 from .tutte import tutte_dc
-
-BRUTEFORCE_MAX_EDGES = 24
 
 NONNEGATIVE_ON_01 = "NonnegativeOn01"
 NEGATIVE_WITNESS = "NegativeWitness"
@@ -31,8 +29,8 @@ class NTable:
     rows: tuple[tuple[int, ...], ...]
 
     def count(self, i: int, j: int) -> int:
-        if not (0 <= i <= self.m and 1 <= j <= self.n):
-            raise IndexError(f"(i={i}, j={j}) outside table 0..{self.m} x 1..{self.n}")
+        _require_in("i", i, 0, self.m)
+        _require_in("j", j, 1, self.n)
         return self.rows[i][j]
 
     @cached_property
@@ -56,10 +54,16 @@ class NTable:
         }
 
 
+def _require_in(name: str, value: int, lo: int, hi: int) -> None:
+    """Refuse a table index or k outside lo..hi."""
+    if not lo <= value <= hi:
+        raise ParameterError(f"{name}={value} outside {lo}..{hi}")
+
+
 def n_leq(table: NTable, i: int, k: int) -> int:
     """N_i^(k): subgraphs with i edges and at most k components."""
-    if not (0 <= i <= table.m and 1 <= k <= table.n):
-        raise IndexError(f"(i={i}, k={k}) outside table 0..{table.m} x 1..{table.n}")
+    _require_in("i", i, 0, table.m)
+    _require_in("k", k, 1, table.n)
     return table.prefix[i][k]
 
 
@@ -94,7 +98,7 @@ def ntable_from_whitney(w: BivarPoly, n: int, m: int) -> NTable:
 
 def ntable_bruteforce(g: SimpleGraph) -> NTable:
     """Independent oracle: enumerate all 2^m edge subsets and count components."""
-    counts = edge_subset_census(g, max_edges=BRUTEFORCE_MAX_EDGES)
+    counts = edge_subset_census(g)
     rows = [[0] * (g.n + 1) for _ in range(g.m + 1)]
     for i in range(g.m + 1):
         for j in range(1, g.n + 1):
@@ -118,7 +122,7 @@ def mu_vector(table: NTable) -> MuVector:
 def mu_lex_compare(a: MuVector, b: MuVector) -> int:
     """-1, 0, or +1 for a before/equal/after b in lexicographic order."""
     if len(a.values) != len(b.values):
-        raise ValueError("mu-vectors of different lengths are not comparable")
+        raise DimensionMismatchError("mu-vectors of different lengths are not comparable")
     if a.values < b.values:
         return -1
     if a.values > b.values:
@@ -136,8 +140,7 @@ class ReliabilityPoly:
 
 
 def reliability(table: NTable, k: int) -> ReliabilityPoly:
-    if not 1 <= k <= table.n:
-        raise ParameterError(f"k={k} outside 1..{table.n}")
+    _require_in("k", k, 1, table.n)
     return ReliabilityPoly(
         table.m, k, tuple(table.prefix[i][k] for i in range(table.m + 1))
     )
@@ -157,9 +160,7 @@ def rel_eval(rp: ReliabilityPoly, p: Fraction | int) -> Fraction:
 
 def reliability_via_tutte(g: SimpleGraph, p: Fraction | int) -> Fraction:
     """Connectedness probability via p^{n-1} (1-p)^{m-n+1} T(1, 1/(1-p))."""
-    kappa, _ = components(g)
-    if kappa != 1:
-        raise DisconnectedGraphError("reliability_via_tutte needs a connected graph")
+    require_connected(g)
     return reliability_from_tutte(tutte_dc(g), g.n, g.m, p)
 
 
@@ -178,8 +179,7 @@ def lambda_k(table: NTable, k: int) -> int | None:
 
     None for k = n: no removal can force more than n components.
     """
-    if not 1 <= k <= table.n:
-        raise IndexError(f"k={k} outside 1..{table.n}")
+    _require_in("k", k, 1, table.n)
     for x in range(table.m + 1):
         if table.prefix[table.m - x][k] < comb(table.m, table.m - x):
             return x
@@ -188,8 +188,7 @@ def lambda_k(table: NTable, k: int) -> int | None:
 
 def t_k(table: NTable, k: int) -> int:
     """Number of spanning forests with exactly k trees: N_{n-k}^(k)."""
-    if not 1 <= k <= table.n:
-        raise IndexError(f"k={k} outside 1..{table.n}")
+    _require_in("k", k, 1, table.n)
     i = table.n - k
     if i > table.m:
         return 0

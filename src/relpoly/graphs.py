@@ -12,7 +12,7 @@ from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
-from .errors import BudgetError, GraphFormatError
+from .errors import BudgetError, DisconnectedGraphError, GraphFormatError
 
 CENSUS_MAX_EDGES = 26
 
@@ -26,17 +26,17 @@ class SimpleGraph:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("negative vertex count")
+            raise GraphFormatError(f"negative vertex count {self.n}")
         seen = set()
         norm = []
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise GraphFormatError(f"edge ({u}, {v}) is a loop")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+                raise GraphFormatError(f"edge ({u}, {v}) out of range for n={self.n}")
             e = (u, v) if u < v else (v, u)
             if e in seen:
-                raise ValueError(f"duplicate edge {e}")
+                raise GraphFormatError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
@@ -92,9 +92,9 @@ class MultiGraph:
         merged: dict[tuple[int, int], int] = {}
         for u, v, mult in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+                raise GraphFormatError(f"edge ({u}, {v}) out of range for n={self.n}")
             if mult < 1:
-                raise ValueError(f"multiplicity {mult} < 1 on edge ({u}, {v})")
+                raise GraphFormatError(f"multiplicity {mult} < 1 on edge ({u}, {v})")
             key = (u, v) if u <= v else (v, u)
             merged[key] = merged.get(key, 0) + mult
         object.__setattr__(
@@ -156,6 +156,13 @@ def components(g: Graph) -> tuple[int, tuple[int, ...]]:
     return kappa, tuple(labels)
 
 
+def require_connected(g: Graph) -> None:
+    """Refuse a graph that is not connected (the empty graph included)."""
+    kappa, _ = components(g)
+    if kappa != 1:
+        raise DisconnectedGraphError(f"graph has {kappa} components; need a connected graph")
+
+
 def rank_corank(g: Graph) -> tuple[int, int]:
     """(rank, corank) = (n - kappa, m - n + kappa)."""
     kappa, _ = components(g)
@@ -166,8 +173,9 @@ def rank_corank(g: Graph) -> tuple[int, int]:
 # Edge-subset census: the inner loop of every brute-force oracle.
 # ---------------------------------------------------------------------------
 
-def edge_subset_census(g: SimpleGraph, max_edges: int = CENSUS_MAX_EDGES) -> list[list[int]]:
-    """counts[i][kappa] over all 2^m edge subsets of g.
+def edge_subset_census(g: SimpleGraph) -> list[list[int]]:
+    """counts[i][kappa] over all 2^m edge subsets of g, refused with
+    BudgetError above CENSUS_MAX_EDGES edges.
 
     Walks the include/exclude tree with a rollback union-find.  Once a partial
     subset is connected, every completion stays connected, so the remaining
@@ -175,9 +183,9 @@ def edge_subset_census(g: SimpleGraph, max_edges: int = CENSUS_MAX_EDGES) -> lis
     accounted for exactly once.
     """
     n, m = g.n, g.m
-    if m > max_edges:
+    if m > CENSUS_MAX_EDGES:
         raise BudgetError(
-            f"subset census over 2^{m} subsets exceeds the 2^{max_edges} budget"
+            f"subset census over 2^{m} subsets exceeds the 2^{CENSUS_MAX_EDGES} budget"
         )
     counts = [[0] * (n + 1) for _ in range(m + 1)]
     if m == 0:
@@ -548,29 +556,18 @@ def parse_edge_list(text: str) -> SimpleGraph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphFormatError(f"bad header {lines[0]!r}: expected integers") from None
-    if n < 0:
-        raise GraphFormatError(f"bad header {lines[0]!r}: negative vertex count")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
-    seen = set()
     edges = []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer vertex in {ln!r}") from None
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex label out of range [0, {n})")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
+    # SimpleGraph refuses a negative n, loops, labels out of range and duplicates
     return SimpleGraph(n, tuple(edges))
 
 
@@ -580,59 +577,66 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 FIXTURE_MAX_VERTICES = 62
 
+# fixture name -> number of integer parameters
+_FIXTURE_PARAMS = {
+    "cycle": 1,
+    "path": 1,
+    "complete": 1,
+    "complete_bipartite": 2,
+    "complete_minus_matching": 2,
+    "figure1_G": 0,
+    "figure1_H": 0,
+}
+
 
 def fixture(name: str, *params: int) -> SimpleGraph:
     """Built-in graphs: cycle, path, complete, complete_bipartite,
     complete_minus_matching, figure1_G, figure1_H.  Sizes are capped at
-    n = 62, matching the graph6 scope of the toolkit."""
-    g = _build_fixture(name, params)
-    if g.n > FIXTURE_MAX_VERTICES:
+    n = 62, matching the graph6 scope of the toolkit; the cap is checked
+    before any edge is built."""
+    if name not in _FIXTURE_PARAMS:
+        raise GraphFormatError(f"unknown fixture {name!r}")
+    count = _FIXTURE_PARAMS[name]
+    if len(params) != count:
+        raise GraphFormatError(f"fixture {name!r} takes {count} parameter(s), got {len(params)}")
+    # n is the first parameter, a + b for complete_bipartite, 8 for figure1_*
+    n = sum(params) if name == "complete_bipartite" else params[0] if params else 8
+    if n > FIXTURE_MAX_VERTICES:
         raise GraphFormatError(
-            f"fixture {name!r} with n = {g.n} exceeds the n = {FIXTURE_MAX_VERTICES} scope"
+            f"fixture {name!r} with n = {n} exceeds the n = {FIXTURE_MAX_VERTICES} scope"
         )
-    return g
+    return _build_fixture(name, params)
 
 
 def _build_fixture(name: str, params) -> SimpleGraph:
     if name == "cycle":
-        (n,) = _need_params(name, params, 1)
+        (n,) = params
         if n < 3:
             raise GraphFormatError("cycle needs n >= 3")
         return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
     if name == "path":
-        (n,) = _need_params(name, params, 1)
+        (n,) = params
         if n < 1:
             raise GraphFormatError("path needs n >= 1")
         return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
     if name == "complete":
-        (n,) = _need_params(name, params, 1)
+        (n,) = params
         if n < 1:
             raise GraphFormatError("complete needs n >= 1")
         return SimpleGraph(n, tuple(itertools.combinations(range(n), 2)))
     if name == "complete_bipartite":
-        a, b = _need_params(name, params, 2)
+        a, b = params
         if a < 1 or b < 1:
             raise GraphFormatError("complete_bipartite needs both sides >= 1")
         return SimpleGraph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
     if name == "complete_minus_matching":
-        n, k = _need_params(name, params, 2)
+        n, k = params
         if n < 1 or k < 0 or 2 * k > n:
             raise GraphFormatError("complete_minus_matching needs 0 <= 2k <= n")
         removed = {(2 * i, 2 * i + 1) for i in range(k)}
         edges = [e for e in itertools.combinations(range(n), 2) if e not in removed]
         return SimpleGraph(n, tuple(edges))
+    base = [(i, 4 + j) for i in range(4) for j in range(4)]
     if name == "figure1_G":
-        _need_params(name, params, 0)
-        base = [(i, 4 + j) for i in range(4) for j in range(4)]
         return SimpleGraph(8, tuple(base + [(0, 1), (2, 3)]))
-    if name == "figure1_H":
-        _need_params(name, params, 0)
-        base = [(i, 4 + j) for i in range(4) for j in range(4)]
-        return SimpleGraph(8, tuple(base + [(2, 3), (6, 7)]))
-    raise GraphFormatError(f"unknown fixture {name!r}")
-
-
-def _need_params(name, params, count):
-    if len(params) != count:
-        raise GraphFormatError(f"fixture {name!r} takes {count} parameter(s), got {len(params)}")
-    return params
+    return SimpleGraph(8, tuple(base + [(2, 3), (6, 7)]))  # figure1_H

@@ -38,6 +38,8 @@ def estimate(g: SimpleGraph, k: int, p, trials: int, seed: int) -> McEstimate:
         raise ParameterError("need at least one trial")
     if not 1 <= k <= g.n:
         raise ParameterError(f"k = {k} outside 1..{g.n}")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed = {seed} outside 0..2^64-1")
     n, m = g.n, g.m
     us = [e[0] for e in g.edges]
     vs = [e[1] for e in g.edges]
@@ -51,7 +53,7 @@ def estimate(g: SimpleGraph, k: int, p, trials: int, seed: int) -> McEstimate:
     while done < trials:
         batch = min(BATCH_SIZE, trials - done)
         rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed & (2**64 - 1), batch_index], dtype=np.uint64))
+            np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
         )
         if m:
             draws = rng.random((batch, m)) < threshold

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ParameterError
 from .graphs import SimpleGraph
 from .poly import BivarPoly
 from .tutte import whitney
@@ -152,7 +152,7 @@ def certify_maximum(
     canonically smallest one.
     """
     if order not in (WHITNEY, TUTTE):
-        raise ValueError(f"unknown order {order!r}")
+        raise ParameterError(f"unknown order {order!r}")
     memo: dict = {}  # one deletion-contraction memo for g and the class
     compare_polys = compare_whitney_polys if order == WHITNEY else compare_tutte_polys
     w_g = whitney(g, memo)

@@ -10,17 +10,15 @@ The design follows Haggard, Pearce & Royle, "Computing Tutte polynomials"
 """
 from __future__ import annotations
 
-from .errors import BudgetError, DisconnectedGraphError
 from .graphs import (
     MultiGraph,
     SimpleGraph,
     canonical_form,
     components,
     edge_subset_census,
+    require_connected,
 )
 from .poly import BivarPoly
-
-EXPANSION_MAX_EDGES = 26
 
 # core = (n, edges) with edges a sorted tuple of (u, v, mult), u < v, loopless
 
@@ -185,11 +183,7 @@ def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
 
 def tutte_expansion(g: SimpleGraph) -> BivarPoly:
     """Tutte polynomial straight from the spanning-subgraph sum."""
-    if g.m > EXPANSION_MAX_EDGES:
-        raise BudgetError(
-            f"subgraph expansion needs 2^{g.m} subsets; budget is 2^{EXPANSION_MAX_EDGES}"
-        )
-    counts = edge_subset_census(g, max_edges=EXPANSION_MAX_EDGES)
+    counts = edge_subset_census(g)
     kappa_g, _ = components(g)
     r_g = g.n - kappa_g
     xm1 = BivarPoly.x() - 1
@@ -213,7 +207,7 @@ def tutte_expansion(g: SimpleGraph) -> BivarPoly:
 
 def whitney_expansion(g: SimpleGraph) -> BivarPoly:
     """Whitney polynomial straight from the spanning-subgraph sum."""
-    counts = edge_subset_census(g, max_edges=EXPANSION_MAX_EDGES)
+    counts = edge_subset_census(g)
     kappa_g, _ = components(g)
     terms: dict[tuple[int, int], int] = {}
     for i, row in enumerate(counts):
@@ -230,20 +224,20 @@ def whitney(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
 
 def forest_gen(g: SimpleGraph) -> list[int]:
     """[t_1, ..., t_n]: spanning-forest counts by number of trees."""
-    _require_connected(g)
+    require_connected(g)
     slice_ = whitney(g).y_zero_slice()
     return [slice_[i] if i < len(slice_) else 0 for i in range(g.n)]
 
 
 def tree_number(g: SimpleGraph) -> int:
     """Spanning-tree count, read off the Whitney polynomial at (0, 0)."""
-    _require_connected(g)
+    require_connected(g)
     return whitney(g).coeff(0, 0)
 
 
 def tree_number_mtt(g: SimpleGraph) -> int:
     """Spanning-tree count by an exact Laplacian-minor determinant."""
-    _require_connected(g)
+    require_connected(g)
     n = g.n
     if n <= 1:
         return 1
@@ -280,9 +274,3 @@ def _bareiss_det(mat) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def _require_connected(g: SimpleGraph) -> None:
-    kappa, _ = components(g)
-    if kappa != 1:
-        raise DisconnectedGraphError(f"graph has {kappa} components; need a connected graph")

@@ -233,6 +233,8 @@ _REFUSALS = [
     (["poly", "--graph", "fixture:complete:8", "--method", "expansion"], "budget", 3),
     (["counts", "--graph", "fixture:no_such_fixture"], "parse", 2),
     (["counts", "--graph", "g6:C`"], "input", 2),
+    (["counts", "--graph", "."], "parse", 2),
+    (["counts", "--graph", "{tmp}/latin1.txt"], "parse", 2),
     (["rel", *_C3, "--k", "0", "--p", "1/2"], "usage", 2),
     (["rel", *_C3, "--k", "1", "--p", "3/2"], "usage", 2),
     (["rel", *_C3, "--k", "1", "--p", "1", "--via-tutte"], "usage", 2),
@@ -242,11 +244,14 @@ _REFUSALS = [
      "usage", 2),
     (["scan", "--n", "10", "--m", "9"], "budget", 3),
     (["scan", "--n", "5", "--m", "6", "--limit", "0"], "usage", 2),
+    (["scan", "--n", "4", "--m", "4", "--csv", "{tmp}/no_such_dir/digest.csv"], "usage", 2),
     (["certify", *_C3, "--n", "4", "--m", "4"], "parse", 2),
     (["certify", *_C3, "--n", "3"], "usage", 2),
     (["mc", *_C3, "--k", "1", "--p", "1/2", "--trials", "0"], "usage", 2),
     (["mc", *_C3, "--k", "0", "--p", "1/2", "--trials", "100"], "usage", 2),
     (["mc", *_C3, "--k", "1", "--p", "3/2", "--trials", "100"], "usage", 2),
+    ([*_MC, "--seed", "-1"], "usage", 2),
+    ([*_MC, "--seed", str(2**64)], "usage", 2),
     ([*_MC, "--cross-check", "--sigmas", "-1"], "usage", 2),
     ([*_MC, "--cross-check", "--sigmas", "0"], "usage", 2),
     ([*_MC, "--cross-check", "--sigmas", "nan"], "usage", 2),
@@ -260,8 +265,9 @@ _REFUSALS = [
 @pytest.mark.parametrize(
     "argv, kind, exit_code", _REFUSALS, ids=[" ".join(argv) for argv, _, _ in _REFUSALS]
 )
-def test_cli_refusal_contract(capsys, argv, kind, exit_code):
-    code, out, err = run_cli(capsys, *argv)
+def test_cli_refusal_contract(capsys, tmp_path, argv, kind, exit_code):
+    (tmp_path / "latin1.txt").write_bytes(b"3 1\n0 1 \xe9\n")  # not UTF-8
+    code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == exit_code and not out
     (line,) = err.splitlines()
     payload = json.loads(line)
@@ -278,8 +284,20 @@ def test_mc_cross_check_refuses_disconnected_graph(capsys):
     code, out, err = run_cli(capsys, *argv, "--cross-check")
     assert code == 2 and not out
     assert json.loads(err) == {
-        "error": "input", "message": "count tables need a connected input graph"
+        "error": "input", "message": "graph has 2 components; need a connected graph"
     }
+
+
+def test_internal_fault_is_not_a_parse_error(capsys, monkeypatch):
+    # exit 1 means a negative verdict; a bug in the program gets its own kind
+    def broken(*args, **kwargs):
+        raise ValueError("simulated fault")
+
+    monkeypatch.setattr("relpoly.cli.whitney", broken)
+    code, out, err = run_cli(capsys, "counts", "--graph", "fixture:cycle:3")
+    assert code == 4 and not out
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "internal", "message": "ValueError: simulated fault"}
 
 
 def test_certify_dimension_mismatch(capsys):

@@ -8,6 +8,7 @@ import pytest
 from conftest import all_labeled_graphs, random_graph
 from relpoly.errors import BudgetError, GraphFormatError
 from relpoly.graphs import (
+    FIXTURE_MAX_VERTICES,
     MultiGraph,
     SimpleGraph,
     automorphism_count,
@@ -64,12 +65,16 @@ def test_rank_corank_identity_random():
 
 
 def test_simple_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphFormatError, match=r"\(0, 0\) is a loop"):
         SimpleGraph(3, ((0, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphFormatError, match="duplicate"):
         SimpleGraph(3, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphFormatError, match="range"):
         SimpleGraph(2, ((0, 5),))
+    with pytest.raises(GraphFormatError, match="negative"):
+        SimpleGraph(-1, ())
+    with pytest.raises(GraphFormatError, match="multiplicity"):
+        MultiGraph(2, ((0, 1, 0),))
 
 
 def test_multigraph_merges_parallel_classes():
@@ -329,6 +334,24 @@ def test_fixtures():
         fixture("nope", 3)
     with pytest.raises(GraphFormatError):
         fixture("cycle")
+
+
+def test_oversized_fixture_refused_before_building(monkeypatch):
+    def small_only(n, edges):
+        assert n <= FIXTURE_MAX_VERTICES, "built an out-of-scope fixture"
+        return SimpleGraph(n, edges)
+
+    monkeypatch.setattr("relpoly.graphs.SimpleGraph", small_only)
+    assert fixture("cycle", 62).n == 62
+    for name, params in (
+        ("cycle", (63,)),
+        ("path", (100,)),
+        ("complete", (100,)),
+        ("complete_bipartite", (40, 30)),
+        ("complete_minus_matching", (70, 2)),
+    ):
+        with pytest.raises(GraphFormatError, match="scope"):
+            fixture(name, *params)
 
 
 def test_census_triangle():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from relpoly.counts import ntable_bruteforce
-from relpoly.errors import DimensionMismatchError
+from relpoly.errors import DimensionMismatchError, ParameterError
 from relpoly.graphs import SimpleGraph, fixture
 from relpoly.order import (
     DOMINATES,
@@ -184,5 +184,5 @@ def test_certify_maximum_singleton_and_collect_all():
 
 
 def test_certify_maximum_rejects_unknown_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         certify_maximum(fixture("cycle", 4), [], order="nope")

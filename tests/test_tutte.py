@@ -6,11 +6,17 @@ import pytest
 
 from conftest import random_connected, random_connected_graph, random_graph
 from relpoly.errors import BudgetError, DisconnectedGraphError
-from relpoly.graphs import MultiGraph, SimpleGraph, components, fixture, parse_graph6
+from relpoly.graphs import (
+    CENSUS_MAX_EDGES,
+    MultiGraph,
+    SimpleGraph,
+    components,
+    fixture,
+    parse_graph6,
+)
 from relpoly.poly import BivarPoly
 from relpoly.scan import ClassSpec, enumerate_class
 from relpoly.tutte import (
-    EXPANSION_MAX_EDGES,
     _block_split,
     forest_gen,
     tree_number,
@@ -168,7 +174,7 @@ def _ladder(length: int) -> SimpleGraph:
 def test_dc_above_expansion_budget(g):
     # the expansion oracle refuses these; T(1,1) and T(2,2) still have
     # independent values: the matrix-tree determinant and 2^m
-    assert g.m > EXPANSION_MAX_EDGES
+    assert g.m > CENSUS_MAX_EDGES
     t = tutte_dc(g)
     assert t.eval_rational(1, 1) == tree_number_mtt(g)
     assert t.eval_rational(2, 2) == 2**g.m
