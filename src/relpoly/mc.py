@@ -3,9 +3,23 @@
 Trials run in fixed-size batches, each seeded by a counter-based Philox
 stream keyed on (seed, batch index), so results depend only on the seed
 and the batch index.
+
+Components are counted for 64 trials per machine word, by vertex
+elimination.  Each edge's draws are packed into a bit-row: bit t is set when
+the edge is kept in trial t.  link[a][b] holds the trials in which a and b
+are joined through vertices already eliminated; it starts as the edge's
+bit-row.  Vertices are eliminated in min-degree order, ties by label, and
+eliminating k ORs link[a][k] & link[k][b] into link[a][b] for every pair of
+its live neighbours.  k is the last vertex of its component in exactly the
+trials where no link[k][.] bit is set, so a trial's component count is the
+number of such vertices.  The count is exact: a vertex that is not last
+reaches a later vertex of its component, and the first live vertex on that
+path is joined to it through eliminated vertices only.  The kernel uses numpy
+and the edge list, none of the exact engines it checks.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +30,9 @@ from .graphs import SimpleGraph
 from .tutte import whitney
 
 BATCH_SIZE = 1 << 14
+# uniforms per draw call: a batch is drawn in row blocks of about this size,
+# which continue one stream, so a dense graph never holds a whole batch's draw
+DRAW_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -28,9 +45,14 @@ class McEstimate:
 
 def estimate(g: SimpleGraph, k: int, p, trials: int, seed: int) -> McEstimate:
     """Fraction of trials where keeping each edge with probability p leaves
-    at most k components (components counted by union-find per trial)."""
-    import numpy as np  # deferred: importing numpy costs more than the CLI's own start-up
+    at most k components.
 
+    Batch b of BATCH_SIZE trials draws from the Philox stream keyed on
+    (seed, b).  Components are counted for 64 trials per machine word by
+    vertex elimination: the kept edges' bit-rows are joined through each
+    vertex as it is eliminated, in min-degree order, and a trial's count is
+    the number of vertices joined to no vertex still left.
+    """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ParameterError(f"p = {p} outside [0, 1]")
@@ -40,53 +62,80 @@ def estimate(g: SimpleGraph, k: int, p, trials: int, seed: int) -> McEstimate:
         raise ParameterError(f"k = {k} outside 1..{g.n}")
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed = {seed} outside 0..2^64-1")
-    n, m = g.n, g.m
-    us = [e[0] for e in g.edges]
-    vs = [e[1] for e in g.edges]
     # p as a threshold against 53-bit uniforms; representation error < 2^-50
-    threshold = float(p)
-    max_merges = n - k  # once kappa reaches k, the trial already succeeded
+    counts = _component_counts(g.n, g.edges, float(p), trials, seed)
+    successes = sum(int((kappa <= k).sum()) for kappa in counts)
 
-    successes = 0
-    done = 0
-    batch_index = 0
+    mean = successes / trials
+    stderr = math.sqrt(mean * (1.0 - mean) / trials)
+    return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+
+
+def _component_counts(n, edges, threshold, trials, seed):
+    """Yield each batch's component counts, one per trial, as an int array.
+    Edge e is kept in a trial when its uniform is below threshold."""
+    import numpy as np  # deferred: importing numpy costs more than the CLI's own start-up
+
+    # The elimination depends on the graph only.  Rows 0..m-1 of link are the
+    # edges, later rows the fill pairs; each step lists the pairs it fills,
+    # the rows joining them through k, and k's own rows.
+    m = len(edges)
+    row = {}  # (a, b) and (b, a) -> link row
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        row[u, v] = row[v, u] = len(row) // 2
+        adj[u].add(v)
+        adj[v].add(u)
+    steps = []
+    live = set(range(n))
+    queue = [(len(adj[v]), v) for v in range(n)]  # (degree, label); stale entries skipped
+    heapq.heapify(queue)
+    while queue:
+        degree, k = heapq.heappop(queue)
+        if k not in live or degree != len(adj[k]):
+            continue
+        live.remove(k)
+        nbrs = sorted(adj[k])
+        fill, via_a, via_b = [], [], []
+        for i, a in enumerate(nbrs):
+            adj[a].remove(k)
+            for b in nbrs[i + 1:]:
+                if (a, b) not in row:
+                    row[a, b] = row[b, a] = len(row) // 2
+                    adj[a].add(b)
+                    adj[b].add(a)
+                fill.append(row[a, b])
+                via_a.append(row[a, k])
+                via_b.append(row[k, b])
+        for a in nbrs:
+            heapq.heappush(queue, (len(adj[a]), a))
+        if nbrs:
+            steps.append((fill, via_a, via_b, [row[k, a] for a in nbrs]))
+
+    block = max(64, DRAW_BLOCK // max(m, 1) // 64 * 64)  # draw rows per block
+    done = batch_index = 0
     while done < trials:
         batch = min(BATCH_SIZE, trials - done)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
         )
-        if m:
-            draws = rng.random((batch, m)) < threshold
-            rows = draws.tolist()
-        else:
-            rows = [[]] * batch
-        for row in rows:
-            parent = list(range(n))
-            merges = 0
-            for idx in range(m):
-                if not row[idx]:
-                    continue
-                ru = us[idx]
-                while parent[ru] != ru:
-                    parent[ru] = parent[parent[ru]]
-                    ru = parent[ru]
-                rv = vs[idx]
-                while parent[rv] != rv:
-                    parent[rv] = parent[parent[rv]]
-                    rv = parent[rv]
-                if ru != rv:
-                    parent[rv] = ru
-                    merges += 1
-                    if merges >= max_merges:
-                        break
-            if n - merges <= k:
-                successes += 1
+        words = -(-batch // 64)
+        link = np.zeros((len(row) // 2, 8 * words), dtype=np.uint8)
+        for start in range(0, batch, block):
+            kept = rng.random((min(block, batch - start), m)) < threshold
+            bits = np.packbits(kept, axis=0).T
+            link[:m, start // 8:start // 8 + bits.shape[1]] = bits
+        link = link.view(np.uint64)
+        joined = np.zeros((len(steps), words), dtype=np.uint64)
+        for j, (fill, via_a, via_b, own) in enumerate(steps):
+            if fill:
+                link[fill] |= link[via_a] & link[via_b]
+            np.bitwise_or.reduce(link[own], axis=0, out=joined[j])
+        yield n - np.unpackbits(joined.view(np.uint8), axis=1, count=batch).sum(
+            axis=0, dtype=np.int64
+        )
         done += batch
         batch_index += 1
-
-    mean = successes / trials
-    stderr = math.sqrt(mean * (1.0 - mean) / trials)
-    return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
 
 
 @dataclass(frozen=True)

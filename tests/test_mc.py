@@ -1,5 +1,6 @@
 """Monte Carlo percolation estimates."""
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import relpoly
+from relpoly import mc
 from relpoly.counts import ntable_from_whitney, rel_eval, reliability
 from relpoly.errors import ParameterError
 from relpoly.graphs import SimpleGraph, fixture
-from relpoly.mc import BATCH_SIZE, cross_check, estimate
+from relpoly.mc import BATCH_SIZE, _component_counts, cross_check, estimate
 from relpoly.tutte import whitney
 
 
@@ -112,3 +114,101 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[False, False]"
+
+
+def union_find_counts(g, threshold, trials, seed):
+    """Oracle: each trial's component count by a union-find over the kept
+    edges, drawing a batch's uniforms in one call."""
+    import numpy as np
+
+    counts = []
+    for batch_index, done in enumerate(range(0, trials, BATCH_SIZE)):
+        batch = min(BATCH_SIZE, trials - done)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
+        )
+        rows = (rng.random((batch, g.m)) < threshold).tolist() if g.m else [[]] * batch
+        for row in rows:
+            parent = list(range(g.n))
+            merges = 0
+            for (u, v), kept in zip(g.edges, row):
+                if not kept:
+                    continue
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                if u != v:
+                    parent[v] = u
+                    merges += 1
+            counts.append(g.n - merges)
+    return counts
+
+
+def kernel_counts(g, threshold, trials, seed):
+    return [int(c) for batch in _component_counts(g.n, g.edges, threshold, trials, seed)
+            for c in batch]
+
+
+def random_graph(rng, n):
+    density = rng.random()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SimpleGraph(n, tuple(e for e in pairs if rng.random() < density))
+
+
+_EDGE_CASES = [
+    (SimpleGraph(1, ()), 0.5, 1),
+    (SimpleGraph(1, ()), 0.5, 130),
+    (SimpleGraph(4, ()), 0.5, 65),
+    (SimpleGraph(7, ((0, 1), (1, 2), (4, 5))), 0.5, 200),  # isolated vertices
+    (fixture("path", 6), 0.0, 100),
+    (fixture("complete", 6), 1.0, 100),
+    (SimpleGraph(8, ((0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 7))), 1.0, 77),
+    (fixture("figure1_G"), 0.5, BATCH_SIZE + 70),  # crosses a batch boundary
+    (fixture("complete", 12), 0.2, BATCH_SIZE + 70),  # two draw blocks per batch
+]
+
+
+@pytest.mark.parametrize("g,threshold,trials", _EDGE_CASES)
+def test_kernel_counts_match_union_find_edge_cases(g, threshold, trials):
+    assert kernel_counts(g, threshold, trials, 2**64 - 1) == union_find_counts(
+        g, threshold, trials, 2**64 - 1
+    )
+
+
+def test_kernel_counts_match_union_find_on_random_graphs():
+    rng = random.Random(20240611)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 12))
+        threshold = rng.choice([0.0, 1.0, rng.random(), rng.random()])
+        trials = rng.choice([1, 63, 64, 65, rng.randint(1, 700)])
+        seed = rng.choice([0, 2**64 - 1, rng.randrange(2**64)])
+        assert kernel_counts(g, threshold, trials, seed) == union_find_counts(
+            g, threshold, trials, seed
+        ), (g, threshold, trials, seed)
+
+
+def test_draw_blocks_give_one_stream(monkeypatch):
+    # 64-row draw blocks: each batch spans many blocks, the last one short
+    monkeypatch.setattr(mc, "DRAW_BLOCK", 1)
+    rng = random.Random(7)
+    for trials in (1, 64, 200, BATCH_SIZE + 5):
+        g = random_graph(rng, rng.randint(2, 12))
+        assert kernel_counts(g, 0.5, trials, 11) == union_find_counts(g, 0.5, trials, 11)
+
+
+@pytest.mark.parametrize(
+    "g,k,p,trials,seed,successes",
+    [
+        (fixture("figure1_G"), 1, Fraction(1, 3), BATCH_SIZE + 123, 9, 3390),
+        (fixture("figure1_G"), 3, Fraction(1, 2), 5000, 2**64 - 1, 4887),
+        (fixture("cycle", 5), 1, Fraction(2, 3), 2001, 0, 937),
+        (fixture("complete", 7), 2, Fraction(1, 5), 3000, 17, 1039),
+        (SimpleGraph(6, ((0, 1), (1, 2), (3, 4))), 3, Fraction(1, 2), 999, 5, 140),
+    ],
+)
+def test_pinned_estimates(g, k, p, trials, seed, successes):
+    est = estimate(g, k, p, trials, seed)
+    assert est.mean == successes / trials
