@@ -125,6 +125,10 @@ class MultiGraph:
                 adj[v] |= 1 << u
         return tuple(adj)
 
+    def relabel(self, perm) -> "MultiGraph":
+        """Apply vertex map u -> perm[u]."""
+        return MultiGraph(self.n, tuple((perm[u], perm[v], c) for u, v, c in self.edges))
+
 
 Graph = SimpleGraph | MultiGraph
 
@@ -447,7 +451,7 @@ def canonical_form(g: Graph) -> bytes:
     return canonical_labeling(g).cert
 
 
-def canonical_relabel(g: SimpleGraph) -> SimpleGraph:
+def canonical_relabel(g: Graph) -> Graph:
     """The canonically labeled copy of g."""
     return g.relabel(canonical_labeling(g).positions())
 

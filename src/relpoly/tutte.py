@@ -1,10 +1,11 @@
 """Tutte and Whitney polynomials by two independent routes.
 
 tutte_expansion sums over all 2^m spanning subgraphs; tutte_dc runs
-deletion-contraction with an isomorphism-keyed memo.  The recursion
-factors over biconnected blocks (a parallel class on no cycle is a block
-of its own, with factor x + y + ... + y^(c-1)) and short-circuits
-parallel classes and plain cycles.
+deletion-contraction on canonical copies, which are also its memo keys, so
+its work depends only on the isomorphism class.  The recursion factors
+over biconnected blocks (a parallel class on no cycle is a block, with
+factor x + y + ... + y^(c-1)) and short-circuits parallel classes and plain
+cycles.
 The design follows Haggard, Pearce & Royle, "Computing Tutte polynomials"
 (ACM TOMS 2010).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from .graphs import (
     MultiGraph,
     SimpleGraph,
-    canonical_form,
+    canonical_relabel,
     components,
     edge_subset_census,
     require_connected,
@@ -94,7 +95,8 @@ def _block_split(n, edges):
 
 
 def _core_key(n, edges):
-    return canonical_form(MultiGraph(n, edges))
+    g = canonical_relabel(MultiGraph(n, edges))
+    return g.n, g.edges
 
 
 def _dipole_poly(c):
@@ -125,28 +127,22 @@ def _dc_block(core, memo):
     hit = memo.get(key)
     if hit is not None:
         return hit
+    n, edges = key
 
-    # pick a class of maximal multiplicity, smallest endpoint pair on ties
-    best = max(range(len(edges)), key=lambda i: (edges[i][2], (-edges[i][0], -edges[i][1])))
+    # the first class of maximal multiplicity: on the canonical copy this
+    # choice is a function of the isomorphism class
+    best = max(range(len(edges)), key=lambda i: edges[i][2])
     u, v, c = edges[best]
 
     deleted = edges[:best] + ((u, v, c - 1),) * (c > 1) + edges[best + 1 :]
     result = _dc(n, deleted, memo)
 
-    merged: dict[tuple[int, int], int] = {}
-    for i, (a, b, cc) in enumerate(edges):
-        if i == best:
-            continue
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        key2 = (a2, b2) if a2 < b2 else (b2, a2)
-        merged[key2] = merged.get(key2, 0) + cc
-    verts = sorted({w for pair in merged for w in pair} | {u})
-    remap = {w: i for i, w in enumerate(verts)}
-    contracted = tuple(
-        sorted((remap[a], remap[b], cc) for (a, b), cc in merged.items())
-    )
-    cpoly = _dc(len(verts), contracted, memo)
+    # MultiGraph merges the classes that meet; v is left isolated, and the
+    # block split drops it
+    rest = edges[:best] + edges[best + 1 :]
+    contracted = MultiGraph(n, tuple((u if a == v else a, u if b == v else b, cc)
+                                     for a, b, cc in rest))
+    cpoly = _dc(n, contracted.edges, memo)
     if c > 1:
         cpoly = cpoly.mul_monomial(0, c - 1)
     result = result + cpoly
@@ -171,9 +167,9 @@ def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     and isolated vertices need no pass of their own.
 
     A memo dict may be shared between calls (scan() and certify_maximum
-    share one across a class); entries are a pure function of the canonical
-    key, so reuse across graphs is safe.  Without one, the call uses a
-    fresh memo.
+    share one across a class); each entry maps a block's canonical copy to
+    its polynomial, so reuse across graphs is safe.  Without one, the call
+    uses a fresh memo.
     """
     mg = MultiGraph.from_simple(g) if isinstance(g, SimpleGraph) else g
     result = _dc(mg.n, mg.nonloop_edges(), {} if memo is None else memo)

@@ -51,7 +51,7 @@ def test_rel_via_tutte_runs_deletion_contraction_once(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == payload["via_tutte"] == "42605/65536"
-    assert len(nodes) == one_run  # 249 nodes, where a DC per route made 498
+    assert len(nodes) == one_run  # 157 nodes, where a DC per route made 314
 
 
 def test_compare_tutte_figure1(capsys):
@@ -345,8 +345,9 @@ def test_budget_refusal_exit_code(capsys):
 
 
 def test_counts_on_graph_with_over_255_vertices(capsys, tmp_path):
-    # theta graph: hubs 0 and 1 joined by paths of 1, 2 and 257 edges; its
-    # 259-vertex block needs a wide certificate as a memo key
+    # theta graph: hubs 0 and 1 joined by paths of 1, 2 and 257 edges; the
+    # canonical search behind its 259-vertex block's memo key compares wide
+    # certificates
     edges = [(0, 1), (0, 2), (2, 1), (0, 3)] + [(i, i + 1) for i in range(3, 258)] + [(258, 1)]
     path = tmp_path / "theta.txt"
     path.write_text(f"259 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))

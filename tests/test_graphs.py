@@ -210,10 +210,6 @@ def test_search_generators_generate_the_automorphism_group():
         assert g.relabel(canon.positions()) == canonical_relabel(g)
 
 
-def relabel_multigraph(g: MultiGraph, perm) -> MultiGraph:
-    return MultiGraph(g.n, tuple((perm[u], perm[v], c) for u, v, c in g.edges))
-
-
 def test_canonical_form_invariance_with_loops_and_wide_multiplicities():
     rng = random.Random(13)
     by_fast, by_brute = {}, {}
@@ -225,10 +221,14 @@ def test_canonical_form_invariance_with_loops_and_wide_multiplicities():
             classes[(min(u, v), max(u, v))] = rng.choice((1, 256, 300, 70000))
         g = MultiGraph(n, tuple((u, v, c) for (u, v), c in classes.items()))
         cert = canonical_form(g)
+        copy = canonical_relabel(g)
+        assert isinstance(copy, MultiGraph) and canonical_form(copy) == cert
         for _ in range(5):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_form(relabel_multigraph(g, perm)) == cert
+            h = g.relabel(perm)
+            assert canonical_form(h) == cert
+            assert canonical_relabel(h) == copy
         by_fast.setdefault(cert, set()).add(i)
         by_brute.setdefault(canonical_form_bruteforce(g), set()).add(i)
     assert sorted(by_fast.values(), key=sorted) == sorted(by_brute.values(), key=sorted)

@@ -1,4 +1,5 @@
 """Tutte/Whitney engines: dual-route equality and specializations."""
+import importlib
 import itertools
 import random
 
@@ -180,15 +181,38 @@ def test_dc_above_expansion_budget(g):
     assert t.eval_rational(2, 2) == 2**g.m
 
 
-def test_isomorphism_invariance():
+def test_isomorphism_invariance(monkeypatch):
+    # DC recurses on canonical copies, so its work, counted in _dc_block
+    # calls, depends only on the isomorphism class, not on the labels
+    tutte_module = importlib.import_module("relpoly.tutte")
+    original = tutte_module._dc_block
+    calls = [0]
+
+    def spy(core, memo):
+        calls[0] += 1
+        return original(core, memo)
+
+    monkeypatch.setattr(tutte_module, "_dc_block", spy)
+
+    def counted(fn, g):
+        calls[0] = 0
+        return fn(g), calls[0]
+
     rng = random.Random(13)
     for _ in range(20):
         g = random_connected(rng, n_max=7, m_max=14)
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = g.relabel(perm)
-        assert tutte_dc(g) == tutte_dc(h)
-        assert whitney(g) == whitney(h)
+        assert counted(tutte_dc, g) == counted(tutte_dc, h)
+        assert counted(whitney, g) == counted(whitney, h)
+
+    for g in (fixture("figure1_G"), _ladder(12)):
+        expected = counted(tutte_dc, g)
+        for seed in range(5):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            assert counted(tutte_dc, g.relabel(perm)) == expected
 
 
 def test_whitney_small_literals():
