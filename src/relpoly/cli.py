@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 # reliability_via_tutte is unused here but stays importable from this module
-# for outside code that looks it up on it
+# because perfbench/tracer.py wraps it here
 from .counts import (  # noqa: F401
     lambda_k,
     mu_vector,

@@ -89,6 +89,8 @@ class MultiGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphFormatError(f"negative vertex count {self.n}")
         merged: dict[tuple[int, int], int] = {}
         for u, v, mult in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -429,21 +431,21 @@ class CanonicalLabeling(NamedTuple):
     """Result of one canonical-labeling search of a graph."""
 
     cert: bytes  # equal for two graphs exactly when they are isomorphic
-    order: tuple[int, ...]  # canonical position -> vertex
-    generators: tuple[tuple[int, ...], ...]  # generate Aut(G); vertex -> image
-
-    def positions(self) -> list[int]:
-        """vertex -> canonical position, the inverse of order."""
-        pos = [0] * len(self.order)
-        for p, v in enumerate(self.order):
-            pos[v] = p
-        return pos
+    graph: Graph  # the graph relabeled into canonical order, of its own type
+    generators: tuple[tuple[int, ...], ...]  # generate Aut(graph); vertex -> image
 
 
 def canonical_labeling(g: Graph) -> CanonicalLabeling:
-    """Certificate, canonical order and automorphism generators of g."""
+    """Certificate, canonically labeled copy and generators of the copy's
+    automorphism group, all from one search of g."""
     mult, loops = _mult_and_loops(g)
-    return CanonicalLabeling(*_canon_search(g.n, mult, loops))
+    cert, order, gens = _canon_search(g.n, mult, loops)
+    pos = [0] * g.n
+    for p, v in enumerate(order):
+        pos[v] = p
+    # gen maps v to gen[v] on g, so it maps p to pos[gen[order[p]]] on the copy
+    copy_gens = tuple(tuple(pos[gen[v]] for v in order) for gen in gens)
+    return CanonicalLabeling(cert, g.relabel(pos), copy_gens)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -453,7 +455,7 @@ def canonical_form(g: Graph) -> bytes:
 
 def canonical_relabel(g: Graph) -> Graph:
     """The canonically labeled copy of g."""
-    return g.relabel(canonical_labeling(g).positions())
+    return canonical_labeling(g).graph
 
 
 def automorphism_count(g: Graph) -> int:

@@ -30,8 +30,9 @@ from .counts import (
 )
 from .errors import BudgetError, EmptyClassError
 # canonical_form and canonical_relabel are unused here but stay importable
-# from this module for outside code that looks them up on it
+# from this module because perfbench/tracer.py wraps them here
 from .graphs import (  # noqa: F401
+    CanonicalLabeling,
     SimpleGraph,
     canonical_form,
     canonical_labeling,
@@ -60,15 +61,6 @@ class ClassSpec:
                 f"C({self.n}, {self.m}) is empty: need {self.n - 1} <= m <= "
                 f"{self.n * (self.n - 1) // 2}"
             )
-
-
-def _canonical_copy(g: SimpleGraph):
-    """(certificate, canonically labeled copy of g, generators of the copy's
-    automorphism group), all from one search."""
-    canon = canonical_labeling(g)
-    pos = canon.positions()
-    gens = tuple(tuple(pos[gen[v]] for v in canon.order) for gen in canon.generators)
-    return canon.cert, g.relabel(pos), gens
 
 
 def _nonedge_orbit_reps(g: SimpleGraph, gens):
@@ -103,17 +95,16 @@ def _graphs_with_edges(n: int, m: int) -> list[SimpleGraph]:
     generation", 1998); any group of true automorphisms keeps this
     exhaustive.  The search that names a child's class also labels it
     canonically and finds the generators used one level up."""
-    cert, g, gens = _canonical_copy(SimpleGraph(n, ()))
-    current = {cert: (g, gens)}
+    empty = canonical_labeling(SimpleGraph(n, ()))
+    current = {empty.cert: empty}
     for _ in range(m):
-        nxt: dict[bytes, tuple] = {}
-        for g, gens in current.values():
-            for u, v in _nonedge_orbit_reps(g, gens):
-                cert, child, child_gens = _canonical_copy(g.with_edge(u, v))
-                if cert not in nxt:
-                    nxt[cert] = (child, child_gens)
+        nxt: dict[bytes, CanonicalLabeling] = {}
+        for parent in current.values():
+            for u, v in _nonedge_orbit_reps(parent.graph, parent.generators):
+                child = canonical_labeling(parent.graph.with_edge(u, v))
+                nxt.setdefault(child.cert, child)
         current = nxt
-    return [current[cert][0] for cert in sorted(current)]
+    return [current[cert].graph for cert in sorted(current)]
 
 
 def enumerate_class(spec: ClassSpec) -> list[SimpleGraph]:
@@ -129,8 +120,8 @@ def enumerate_class(spec: ClassSpec) -> list[SimpleGraph]:
         # certificate, which is its encoding under the identity order
         return [g for g in _graphs_with_edges(spec.n, spec.m) if g.is_connected()]
     complements = (g.complement() for g in _graphs_with_edges(spec.n, total - spec.m))
-    keyed = [_canonical_copy(g)[:2] for g in complements if g.is_connected()]
-    return [g for _, g in sorted(keyed, key=lambda kg: kg[0])]
+    labelings = [canonical_labeling(g) for g in complements if g.is_connected()]
+    return [c.graph for c in sorted(labelings, key=lambda c: c.cert)]
 
 
 def labeled_connected_count(n: int, m: int) -> int:
