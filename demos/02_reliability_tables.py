@@ -2,7 +2,8 @@
 
 N_{i,j} counts spanning subgraphs with i edges and exactly j components.
 The table is read straight off the Whitney polynomial's coefficients and
-double-checked against literal 2^m enumeration; reliability polynomials,
+double-checked against the census of all 2^m edge subsets, which a
+frontier DP counts without deletion-contraction; reliability polynomials,
 the mu-vector, and the connectivity invariants all derive from it.
 """
 from fractions import Fraction
@@ -27,7 +28,7 @@ table = ntable_from_whitney(whitney(c4), c4.n, c4.m)
 print("N table of the 4-cycle (rows i = 0..4, columns j = 1..4):")
 for i, row in enumerate(table.rows):
     print(f"  i={i}: {list(row[1:])}")
-print("equals brute-force enumeration:", table == ntable_bruteforce(c4))
+print("equals the subset census:", table == ntable_bruteforce(c4))
 print("mu-vector:", mu_vector(table).values)
 print("lambda^(k):", [lambda_k(table, k) for k in range(1, 5)],
       "(None: removing edges can never force more than n components)")

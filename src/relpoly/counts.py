@@ -97,7 +97,8 @@ def ntable_from_whitney(w: BivarPoly, n: int, m: int) -> NTable:
 
 
 def ntable_bruteforce(g: SimpleGraph) -> NTable:
-    """Independent oracle: enumerate all 2^m edge subsets and count components."""
+    """Independent oracle: the subset census of g, which counts the
+    components of all 2^m edge subsets by a frontier DP."""
     counts = edge_subset_census(g)
     rows = [[0] * (g.n + 1) for _ in range(g.m + 1)]
     for i in range(g.m + 1):

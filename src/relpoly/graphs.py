@@ -9,12 +9,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from typing import NamedTuple
 
 from .errors import BudgetError, DisconnectedGraphError, GraphFormatError
 
-CENSUS_MAX_EDGES = 26
+CENSUS_MAX_WIDTH = 10  # frontier vertices; the DP's states grow like Bell(width)
 
 
 @dataclass(frozen=True)
@@ -180,77 +179,118 @@ def rank_corank(g: Graph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def edge_subset_census(g: SimpleGraph) -> list[list[int]]:
-    """counts[i][kappa] over all 2^m edge subsets of g, refused with
-    BudgetError above CENSUS_MAX_EDGES edges.
+    """counts[i][kappa]: the number of i-edge subsets of g whose spanning
+    subgraph has kappa components, over all 2^m subsets.  Refused with
+    BudgetError when the frontier of the DP is wider than CENSUS_MAX_WIDTH,
+    before any state is built.
 
-    Walks the include/exclude tree with a rollback union-find.  Once a partial
-    subset is connected, every completion stays connected, so the remaining
-    subtree is folded in with binomial coefficients; every subset is still
-    accounted for exactly once.
+    A connectivity-state ("frontier") DP after Sekine, Imai & Tani,
+    "Computing the Tutte polynomial of a graph of moderate size" (ISAAC
+    1995); it shares no code with deletion-contraction or canonical
+    labeling, so it stays an independent oracle for both.
     """
-    n, m = g.n, g.m
-    if m > CENSUS_MAX_EDGES:
+    steps, width = _census_schedule(g)
+    if width > CENSUS_MAX_WIDTH:
         raise BudgetError(
-            f"subset census over 2^{m} subsets exceeds the 2^{CENSUS_MAX_EDGES} budget"
+            f"subset census with a frontier of {width} vertices exceeds the "
+            f"width budget of {CENSUS_MAX_WIDTH}"
         )
-    counts = [[0] * (n + 1) for _ in range(m + 1)]
-    if m == 0:
-        if n >= 0:
-            counts[0][n if n else 0] += 1
-        return counts
+    return _census_dp(g.n, g.m, steps)
 
-    # spanning-structure edges first so the connected early-out fires sooner
-    parent = list(range(n))
 
-    def root(v: int) -> int:
-        while parent[v] != v:
-            v = parent[v]
-        return v
+def _census_schedule(g: SimpleGraph):
+    """The steps of the census DP and the width of its frontier.
 
-    tree, rest = [], []
+    Vertices come in BFS order: each component from a vertex of least degree
+    (least label on ties), neighbors by ascending label.  Each vertex enters
+    the frontier, joins the earlier endpoints of its edges one edge at a
+    time, and every frontier vertex whose last edge that was leaves.  A step
+    is (the frontier slots of those earlier endpoints, the slots that stay,
+    or None when no vertex leaves); the width is the largest frontier, the
+    entering vertex included.
+    """
+    n, adj = g.n, g.adjacency
+    pos = [-1] * n
+    order: list[int] = []
+    for start in sorted(range(n), key=lambda v: (adj[v].bit_count(), v)):
+        if pos[start] >= 0:
+            continue
+        pos[start] = len(order)
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):
+            nbrs = adj[order[head]]
+            head += 1
+            while nbrs:
+                bit = nbrs & -nbrs
+                nbrs ^= bit
+                w = bit.bit_length() - 1
+                if pos[w] < 0:
+                    pos[w] = len(order)
+                    order.append(w)
+    last = list(range(n))  # position of each vertex's last neighbor, or its own
+    earlier: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
-        ru, rv = root(u), root(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append((u, v))
-        else:
-            rest.append((u, v))
-    order = tree + rest
+        a, b = sorted((pos[u], pos[v]))
+        earlier[b].append(a)
+        last[a] = max(last[a], b)
+    steps = []
+    frontier: list[int] = []  # positions of the frontier vertices, by slot
+    width = 0
+    for k in range(n):
+        frontier.append(k)
+        width = max(width, len(frontier))
+        joins = [frontier.index(a) for a in sorted(earlier[k])]
+        keep = [slot for slot, p in enumerate(frontier) if last[p] > k]
+        steps.append((joins, keep if len(keep) < len(frontier) else None))
+        frontier = [frontier[slot] for slot in keep]
+    return steps, width
 
-    us = [e[0] for e in order]
-    vs = [e[1] for e in order]
-    parent = list(range(n))
-    size = [1] * n
-    binomials = [[comb(r, t) for t in range(r + 1)] for r in range(m + 1)]
 
-    def rec(idx: int, i: int, kappa: int) -> None:
-        if kappa == 1:
-            row = binomials[m - idx]
-            for t, ways in enumerate(row):
-                counts[i + t][1] += ways
-            return
-        if idx == m:
-            counts[i][kappa] += 1
-            return
-        rec(idx + 1, i, kappa)
-        ru = us[idx]
-        while parent[ru] != ru:
-            ru = parent[ru]
-        rv = vs[idx]
-        while parent[rv] != rv:
-            rv = parent[rv]
-        if ru == rv:
-            rec(idx + 1, i + 1, kappa)
-        else:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            rec(idx + 1, i + 1, kappa - 1)
-            parent[rv] = rv
-            size[ru] -= size[rv]
+def _census_dp(n: int, m: int, steps) -> list[list[int]]:
+    """Run the frontier DP over the schedule of _census_schedule.
 
-    rec(0, 0, n)
+    A state is (the partition of the frontier into components, as block
+    labels per slot relabeled by first occurrence, the number of components
+    already closed).  Its value packs the subset counts by edges taken into
+    one integer, m + 1 bits per count: no count exceeds 2^m, so taking an
+    edge is a shift and adding two values never carries between counts.
+    A leaving vertex closes a component when no staying vertex shares its
+    block, so an isolated vertex closes one as soon as it enters.
+    """
+    bits = m + 1
+    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    for joins, keep in steps:
+        states = {(s + (max(s, default=-1) + 1,), c): val for (s, c), val in states.items()}
+        for a in joins:
+            nxt: dict[tuple[tuple[int, ...], int], int] = {}
+            get = nxt.get
+            for key, val in states.items():
+                s, c = key
+                la, lb = s[a], s[-1]
+                if la == lb:  # a cycle edge: the partition stays
+                    nxt[key] = get(key, 0) + val + (val << bits)
+                    continue
+                nxt[key] = get(key, 0) + val
+                lo, hi = (la, lb) if la < lb else (lb, la)
+                merged = (tuple(lo if x == hi else x - (x > hi) for x in s), c)
+                nxt[merged] = get(merged, 0) + (val << bits)
+            states = nxt
+        if keep is None:
+            continue
+        nxt = {}
+        for (s, c), val in states.items():
+            kept = [s[slot] for slot in keep]
+            relabel: dict[int, int] = {}
+            t = tuple([relabel.setdefault(x, len(relabel)) for x in kept])
+            key = (t, c + max(s) + 1 - len(relabel))
+            nxt[key] = nxt.get(key, 0) + val
+        states = nxt
+    counts = [[0] * (n + 1) for _ in range(m + 1)]
+    mask = (1 << bits) - 1
+    for ((), kappa), val in states.items():
+        for i in range(m + 1):
+            counts[i][kappa] = val >> (bits * i) & mask
     return counts
 
 

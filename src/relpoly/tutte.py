@@ -1,6 +1,7 @@
 """Tutte and Whitney polynomials by two independent routes.
 
-tutte_expansion sums over all 2^m spanning subgraphs; tutte_dc runs
+tutte_expansion sums over all 2^m spanning subgraphs, grouped by edges and
+components in the frontier-DP census of relpoly.graphs; tutte_dc runs
 deletion-contraction on canonical copies, which are also its memo keys, so
 its work depends only on the isomorphism class.  The recursion factors
 over biconnected blocks (a parallel class on no cycle is a block, with

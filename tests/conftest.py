@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 from relpoly.graphs import SimpleGraph
 
@@ -28,3 +29,79 @@ def random_connected(rng: random.Random, n_max: int = 8, m_max: int = 20) -> Sim
 def all_labeled_graphs(n: int, m: int):
     for subset in itertools.combinations(itertools.combinations(range(n), 2), m):
         yield SimpleGraph(n, subset)
+
+
+WALK_MAX_EDGES = 26
+
+
+def census_by_subset_walk(g: SimpleGraph) -> list[list[int]]:
+    """counts[i][kappa] over all 2^m edge subsets of g: the oracle of the
+    frontier-DP census, for graphs of up to WALK_MAX_EDGES edges.
+
+    Walks the include/exclude tree with a rollback union-find.  Once a partial
+    subset is connected, every completion stays connected, so the remaining
+    subtree is folded in with binomial coefficients; every subset is still
+    accounted for exactly once.
+    """
+    n, m = g.n, g.m
+    if m > WALK_MAX_EDGES:
+        raise ValueError(f"a walk over 2^{m} subsets exceeds the 2^{WALK_MAX_EDGES} cap")
+    counts = [[0] * (n + 1) for _ in range(m + 1)]
+    if m == 0:
+        if n >= 0:
+            counts[0][n if n else 0] += 1
+        return counts
+
+    # spanning-structure edges first so the connected early-out fires sooner
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    tree, rest = [], []
+    for u, v in g.edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.append((u, v))
+        else:
+            rest.append((u, v))
+    order = tree + rest
+
+    us = [e[0] for e in order]
+    vs = [e[1] for e in order]
+    parent = list(range(n))
+    size = [1] * n
+    binomials = [[comb(r, t) for t in range(r + 1)] for r in range(m + 1)]
+
+    def rec(idx: int, i: int, kappa: int) -> None:
+        if kappa == 1:
+            row = binomials[m - idx]
+            for t, ways in enumerate(row):
+                counts[i + t][1] += ways
+            return
+        if idx == m:
+            counts[i][kappa] += 1
+            return
+        rec(idx + 1, i, kappa)
+        ru = us[idx]
+        while parent[ru] != ru:
+            ru = parent[ru]
+        rv = vs[idx]
+        while parent[rv] != rv:
+            rv = parent[rv]
+        if ru == rv:
+            rec(idx + 1, i + 1, kappa)
+        else:
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            rec(idx + 1, i + 1, kappa - 1)
+            parent[rv] = rv
+            size[ru] -= size[rv]
+
+    rec(0, 0, n)
+    return counts

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: schemas, exit codes, determinism."""
 import importlib
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,16 @@ def test_poly_methods_agree(capsys):
     assert json.loads(out_dc)["terms"] == json.loads(out_exp)["terms"]
     _, out_w, _ = run_cli(capsys, "poly", "--graph", "fixture:cycle:3", "--whitney")
     assert json.loads(out_w)["terms"] == [[0, 0, "3"], [0, 1, "1"], [1, 0, "3"], [2, 0, "1"]]
+
+
+def test_poly_expansion_on_k8(capsys):
+    # 28 edges: past the reach of a 2^m walk, well inside the census width
+    code, out_exp, _ = run_cli(
+        capsys, "poly", "--graph", "fixture:complete:8", "--method", "expansion"
+    )
+    assert code == 0
+    _, out_dc, _ = run_cli(capsys, "poly", "--graph", "fixture:complete:8", "--method", "dc")
+    assert json.loads(out_exp) == {**json.loads(out_dc), "method": "expansion"}
 
 
 def test_counts_schema(capsys):
@@ -230,7 +241,7 @@ _MC = ["mc", *_C3, "--k", "1", "--p", "1/2", "--trials", "100"]
 # error kind and exit code it must get
 _REFUSALS = [
     (["poly", "--graph", "g6:"], "parse", 2),
-    (["poly", "--graph", "fixture:complete:8", "--method", "expansion"], "budget", 3),
+    (["poly", "--graph", "fixture:complete:12", "--method", "expansion"], "budget", 3),
     (["counts", "--graph", "fixture:no_such_fixture"], "parse", 2),
     (["counts", "--graph", "g6:C`"], "input", 2),
     (["counts", "--graph", "."], "parse", 2),
@@ -334,9 +345,11 @@ def test_certify_refuses_disconnected_graph_before_enumerating(capsys, monkeypat
 
 
 def test_budget_refusal_exit_code(capsys):
+    start = time.perf_counter()
     code, _, err = run_cli(
-        capsys, "poly", "--graph", "fixture:complete:8", "--method", "expansion"
+        capsys, "poly", "--graph", "fixture:complete:12", "--method", "expansion"
     )
+    assert time.perf_counter() - start < 1  # refused before any census state
     assert code == 3
     assert json.loads(err)["error"] == "budget"
 

@@ -262,8 +262,7 @@ def test_bernstein_on_reliability_difference():
 
 
 def test_bruteforce_budget():
-    # the one census budget, 26 edges, also caps the brute-force table
-    k8_less_one = SimpleGraph(8, fixture("complete", 8).edges[1:])
-    assert k8_less_one.m == 27
+    # the one census budget, a frontier of 10 vertices, also caps the
+    # brute-force table; K12's frontier reaches 12
     with pytest.raises(BudgetError):
-        ntable_bruteforce(k8_less_one)
+        ntable_bruteforce(fixture("complete", 12))

@@ -5,9 +5,11 @@ from math import comb
 
 import pytest
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import all_labeled_graphs, census_by_subset_walk, random_graph
+import relpoly.graphs as graphs_module
 from relpoly.errors import BudgetError, GraphFormatError
 from relpoly.graphs import (
+    CENSUS_MAX_WIDTH,
     FIXTURE_MAX_VERTICES,
     MultiGraph,
     SimpleGraph,
@@ -23,7 +25,8 @@ from relpoly.graphs import (
     rank_corank,
     to_graph6,
 )
-from relpoly.graphs import _encode, _mult_and_loops
+from relpoly.graphs import _census_schedule, _encode, _mult_and_loops
+from relpoly.tutte import tree_number_mtt
 
 
 def canonical_form_bruteforce(g):
@@ -393,8 +396,60 @@ def test_census_row_sums_are_binomials():
 
 
 def test_census_budget():
+    with pytest.raises(BudgetError, match="width"):
+        edge_subset_census(fixture("complete", 12))  # frontier of 12 > 10
+
+
+def test_census_refused_before_any_state(monkeypatch):
+    built = []
+    monkeypatch.setattr(graphs_module, "_census_dp", lambda *args: built.append(args))
+    g = fixture("complete", 12)
+    assert _census_schedule(g)[1] > CENSUS_MAX_WIDTH
     with pytest.raises(BudgetError):
-        edge_subset_census(fixture("complete", 8))  # 28 edges > 26
+        edge_subset_census(g)
+    assert built == []
+
+
+def _grid(rows: int, cols: int) -> SimpleGraph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return SimpleGraph(rows * cols, tuple(edges))
+
+
+def _ladder(length: int) -> SimpleGraph:
+    return _grid(2, length)
+
+
+def test_census_matches_subset_walk():
+    fixed = [
+        SimpleGraph(0, ()),
+        SimpleGraph(1, ()),
+        SimpleGraph(5, ()),
+        SimpleGraph(6, ((0, 1), (2, 3), (3, 4), (2, 4))),  # two components, an isolated vertex
+        fixture("cycle", 3),
+        fixture("cycle", 4),
+        SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3))),  # the paw
+        fixture("complete_bipartite", 3, 3),
+        fixture("figure1_G"),
+        fixture("figure1_H"),
+        parse_graph6("IheA@GUAo"),  # Petersen
+        fixture("complete", 7),
+        _ladder(7),
+        _grid(3, 4),
+    ]
+    for g in fixed:
+        assert edge_subset_census(g) == census_by_subset_walk(g)
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(0, 10)
+        g = random_graph(rng, n, rng.randint(0, min(22, n * (n - 1) // 2)))
+        assert edge_subset_census(g) == census_by_subset_walk(g)
+
+
+def test_census_spanning_trees_match_matrix_tree():
+    # counts[n-1][1] counts spanning trees, which the Laplacian minor also does
+    for g in (_ladder(30), _grid(6, 6)):
+        assert edge_subset_census(g)[g.n - 1][1] == tree_number_mtt(g)
 
 
 def test_all_labeled_graphs_helper():

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_connected, random_connected_graph, random_graph
 from relpoly.errors import BudgetError, DisconnectedGraphError
 from relpoly.graphs import (
-    CENSUS_MAX_EDGES,
     MultiGraph,
     SimpleGraph,
     components,
@@ -171,12 +170,17 @@ def _ladder(length: int) -> SimpleGraph:
     return SimpleGraph(2 * length, tuple(rails + rungs))
 
 
-@pytest.mark.parametrize("g", [_ladder(30), fixture("complete", 9)], ids=["ladder-2x30", "K9"])
-def test_dc_above_expansion_budget(g):
-    # the expansion oracle refuses these; T(1,1) and T(2,2) still have
-    # independent values: the matrix-tree determinant and 2^m
-    assert g.m > CENSUS_MAX_EDGES
+@pytest.mark.parametrize(
+    "g",
+    [_ladder(30), fixture("complete", 9), fixture("complete_bipartite", 5, 5)],
+    ids=["ladder-2x30", "K9", "K5,5"],
+)
+def test_dc_equals_expansion_on_large_graphs(g):
+    # the frontier-DP census reaches past the 2^m walk's 26 edges, so the
+    # expansion checks DC in full; T(1,1) and T(2,2) keep their own values:
+    # the matrix-tree determinant and 2^m
     t = tutte_dc(g)
+    assert t == tutte_expansion(g)
     assert t.eval_rational(1, 1) == tree_number_mtt(g)
     assert t.eval_rational(2, 2) == 2**g.m
 
@@ -320,4 +324,4 @@ def test_dc_on_multiplicity_300_triangle():
 
 def test_expansion_budget_refusal():
     with pytest.raises(BudgetError):
-        tutte_expansion(fixture("complete", 8))  # m = 28 > 26
+        tutte_expansion(fixture("complete", 12))  # frontier of 12 > 10
