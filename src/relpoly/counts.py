@@ -99,12 +99,8 @@ def ntable_from_whitney(w: BivarPoly, n: int, m: int) -> NTable:
 def ntable_bruteforce(g: SimpleGraph) -> NTable:
     """Independent oracle: the subset census of g, which counts the
     components of all 2^m edge subsets by a frontier DP."""
-    counts = edge_subset_census(g)
-    rows = [[0] * (g.n + 1) for _ in range(g.m + 1)]
-    for i in range(g.m + 1):
-        for j in range(1, g.n + 1):
-            rows[i][j] = counts[i][j]
-    return NTable(g.n, g.m, tuple(tuple(r) for r in rows))
+    # index 0 is unused: the census counts the empty graph's one subset there
+    return NTable(g.n, g.m, tuple((0, *row[1:]) for row in edge_subset_census(g)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Tutte and Whitney polynomials by two independent routes.
 
-tutte_expansion sums over all 2^m spanning subgraphs, grouped by edges and
-components in the frontier-DP census of relpoly.graphs; tutte_dc runs
+whitney_expansion reads W off the frontier-DP census of relpoly.graphs, which
+counts all 2^m spanning subgraphs by edges and components, and
+tutte_expansion is W shifted back, T(x, y) = W(x - 1, y - 1); tutte_dc runs
 deletion-contraction on canonical copies, which are also its memo keys, so
 its work depends only on the isomorphism class.  The recursion factors
 over biconnected blocks (a parallel class on no cycle is a block, with
@@ -179,31 +180,15 @@ def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
 
 
 def tutte_expansion(g: SimpleGraph) -> BivarPoly:
-    """Tutte polynomial straight from the spanning-subgraph sum."""
-    counts = edge_subset_census(g)
-    kappa_g, _ = components(g)
-    r_g = g.n - kappa_g
-    xm1 = BivarPoly.x() - 1
-    ym1 = BivarPoly.y() - 1
-    xpow = [BivarPoly.one()]
-    ypow = [BivarPoly.one()]
-    total = BivarPoly.zero()
-    for i, row in enumerate(counts):
-        for kappa, cnt in enumerate(row):
-            if not cnt:
-                continue
-            a = r_g - (g.n - kappa)
-            b = i - g.n + kappa
-            while len(xpow) <= a:
-                xpow.append(xpow[-1] * xm1)
-            while len(ypow) <= b:
-                ypow.append(ypow[-1] * ym1)
-            total = total + cnt * (xpow[a] * ypow[b])
-    return total
+    """Tutte polynomial from the subset census: T(x, y) = W(x - 1, y - 1),
+    one shift back from whitney_expansion, without deletion-contraction."""
+    return whitney_expansion(g).shift_vars(-1, -1)
 
 
 def whitney_expansion(g: SimpleGraph) -> BivarPoly:
-    """Whitney polynomial straight from the spanning-subgraph sum."""
+    """Whitney polynomial straight from the subset census: each count of
+    i-edge subsets with kappa components is the coefficient of
+    x^(kappa - kappa_G) y^(i - n + kappa)."""
     counts = edge_subset_census(g)
     kappa_g, _ = components(g)
     terms: dict[tuple[int, int], int] = {}

@@ -1,10 +1,12 @@
-"""Lint: the subset census stays independent of the engines it checks.
+"""Lint: the subset census and the expansion route stay independent of the
+engines they check.
 
 edge_subset_census is the oracle behind tutte_expansion, whitney_expansion
 and ntable_bruteforce, which check deletion-contraction and the tables read
 off its Whitney polynomial.  A census that called canonical labeling, or
 anything in relpoly.tutte or relpoly.poly, would share their faults instead
-of catching them.
+of catching them; so would an expansion route that reached deletion-
+contraction, whose whitney() is tutte_dc shifted.
 """
 import ast
 import re
@@ -15,6 +17,8 @@ import relpoly
 ENTRY = "edge_subset_census"
 FORBIDDEN_CALL = re.compile(r"canonical_\w*|_canon_search|_refine|_initial_cells")
 FORBIDDEN_MODULES = {"tutte", "poly"}
+EXPANSION_ENTRIES = ("tutte_expansion", "whitney_expansion")
+DC_CALL = re.compile(r"_dc|_dc_block|_core_key|_block_split|tutte_dc|whitney|canonical_\w*")
 
 
 def called_names(fn: ast.FunctionDef) -> set[str]:
@@ -29,11 +33,12 @@ def called_names(fn: ast.FunctionDef) -> set[str]:
     return names
 
 
-def census_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
-    """The entry point and every top-level function it reaches by name."""
-    top = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+def reached_functions(entries, *trees: ast.Module) -> dict[str, ast.FunctionDef]:
+    """The entry points and every top-level function they reach by name; on
+    a name defined in more than one tree, the last tree's definition wins."""
+    top = {n.name: n for tree in trees for n in tree.body if isinstance(n, ast.FunctionDef)}
     reached = {}
-    stack = [ENTRY]
+    stack = list(entries)
     while stack:
         name = stack.pop()
         if name in reached or name not in top:
@@ -41,6 +46,19 @@ def census_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
         reached[name] = top[name]
         stack.extend(called_names(top[name]))
     return reached
+
+
+def census_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    return reached_functions([ENTRY], tree)
+
+
+def calls_matching(pattern: re.Pattern, functions: dict[str, ast.FunctionDef]) -> list[str]:
+    return [
+        f"{name} calls {c}"
+        for name, fn in sorted(functions.items())
+        for c in sorted(called_names(fn))
+        if pattern.fullmatch(c)
+    ]
 
 
 def forbidden_imports(node: ast.AST) -> list[str]:
@@ -61,13 +79,22 @@ def forbidden_imports(node: ast.AST) -> list[str]:
 
 
 def violations(tree: ast.Module) -> list[str]:
-    found = forbidden_imports(tree)
-    for name, fn in sorted(census_functions(tree).items()):
-        found += [f"{name} calls {c}" for c in sorted(called_names(fn)) if FORBIDDEN_CALL.fullmatch(c)]
-    return found
+    return forbidden_imports(tree) + calls_matching(FORBIDDEN_CALL, census_functions(tree))
 
 
-GRAPHS = ast.parse((Path(relpoly.__file__).parent / "graphs.py").read_text())
+def expansion_functions(tutte: ast.Module) -> dict[str, ast.FunctionDef]:
+    """What the expansion route reaches in tutte.py and in the graphs.py
+    functions it imports, such as the census itself."""
+    return reached_functions(EXPANSION_ENTRIES, GRAPHS, tutte)
+
+
+def expansion_violations(tutte: ast.Module) -> list[str]:
+    return calls_matching(DC_CALL, expansion_functions(tutte))
+
+
+SOURCE = Path(relpoly.__file__).parent
+GRAPHS = ast.parse((SOURCE / "graphs.py").read_text())
+TUTTE = ast.parse((SOURCE / "tutte.py").read_text())
 
 
 def test_lint_finds_a_canonical_call_and_an_engine_import():
@@ -90,3 +117,25 @@ def test_lint_finds_a_canonical_call_and_an_engine_import():
 def test_census_calls_no_canonical_labeling_and_imports_no_engine():
     assert {"_census_schedule", "_census_dp"} <= set(census_functions(GRAPHS))
     assert violations(GRAPHS) == []
+
+
+def test_lint_finds_an_expansion_route_through_deletion_contraction():
+    sample = ast.parse(
+        "def tutte_expansion(g):\n"
+        "    return whitney(g).shift_vars(-1, -1)\n"
+        "def whitney_expansion(g):\n"
+        "    return _read(edge_subset_census(g))\n"
+        "def _read(counts):\n"
+        "    return _core_key(counts)\n"
+        "def whitney(g):\n"
+        "    return tutte_dc(g)\n"
+    )
+    assert expansion_violations(sample) == [
+        "_read calls _core_key", "tutte_expansion calls whitney", "whitney calls tutte_dc",
+    ]
+
+
+def test_expansion_route_never_reaches_deletion_contraction():
+    reached = expansion_functions(TUTTE)
+    assert {"tutte_expansion", "whitney_expansion", "edge_subset_census", "_census_dp"} <= set(reached)
+    assert expansion_violations(TUTTE) == []

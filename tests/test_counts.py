@@ -10,6 +10,7 @@ from relpoly.counts import (
     NEGATIVE_WITNESS,
     NONNEGATIVE_ON_01,
     UNKNOWN,
+    NTable,
     bernstein_certify,
     lambda_k,
     mu_lex_compare,
@@ -69,10 +70,12 @@ def test_c4_table_details():
 
 def test_table_routes_agree_exhaustive_small():
     memo = {}
-    for n in range(2, 6):
+    for n in range(1, 6):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             for g in enumerate_class(ClassSpec(n, m)):
                 assert table_of(g, memo) == ntable_bruteforce(g)
+    # n = 0 has no Whitney table to compare with; its one row leaves index 0 unused
+    assert ntable_bruteforce(SimpleGraph(0, ())) == NTable(0, 0, ((0,),))
 
 
 def test_table_row_sums():

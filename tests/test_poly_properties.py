@@ -74,3 +74,19 @@ def test_mul_distributes_over_add_and_sub(p, q, r):
 @given(polys, st.integers(2, pickle.HIGHEST_PROTOCOL))
 def test_pickle_round_trips(p, protocol):
     assert pickle.loads(pickle.dumps(p, protocol)) == p
+
+
+shifts = st.integers(-2, 2)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@ring_law
+@given(polys, shifts, shifts, rationals, rationals)
+def test_shift_vars_is_substitution(p, dx, dy, x0, y0):
+    assert p.shift_vars(dx, dy).eval_rational(x0, y0) == p.eval_rational(x0 + dx, y0 + dy)
+
+
+@ring_law
+@given(polys, shifts, shifts)
+def test_shift_vars_round_trips(p, dx, dy):
+    assert p.shift_vars(dx, dy).shift_vars(-dx, -dy) == p

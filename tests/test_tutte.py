@@ -77,8 +77,13 @@ def test_dc_matches_expansion_random():
         assert tutte_dc(g, memo) == tutte_expansion(g)
 
 
+EDGELESS = (SimpleGraph(0, ()), SimpleGraph(1, ()), SimpleGraph(3, ()))
+
+
 def test_dc_on_disconnected_graphs():
     rng = random.Random(11)
+    for g in EDGELESS:
+        assert tutte_dc(g) == tutte_expansion(g) == BivarPoly.one()
     for _ in range(25):
         n = rng.randint(1, 7)
         g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
@@ -235,6 +240,8 @@ def test_whitney_of_trees_is_binomial_power():
 
 
 def test_whitney_matches_direct_expansion():
+    for g in EDGELESS:
+        assert whitney(g) == whitney_expansion(g) == BivarPoly.one()
     rng = random.Random(15)
     for _ in range(25):
         g = random_connected(rng, n_max=7, m_max=16)
