@@ -22,6 +22,7 @@ from relpoly import (
     t_k,
     whitney,
 )
+from relpoly.counts import CERTIFY_DEPTH
 
 c4 = fixture("cycle", 4)
 table = ntable_from_whitney(whitney(c4), c4.n, c4.m)
@@ -29,7 +30,7 @@ print("N table of the 4-cycle (rows i = 0..4, columns j = 1..4):")
 for i, row in enumerate(table.rows):
     print(f"  i={i}: {list(row[1:])}")
 print("equals the subset census:", table == ntable_bruteforce(c4))
-print("mu-vector:", mu_vector(table).values)
+print("mu-vector:", mu_vector(table))
 print("lambda^(k):", [lambda_k(table, k) for k in range(1, 5)],
       "(None: removing edges can never force more than n components)")
 print("t_k:", [t_k(table, k) for k in range(1, 5)])
@@ -45,11 +46,10 @@ print()
 # Bernstein-basis sign certification of a reliability difference
 paw = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
 paw_table = ntable_from_whitney(whitney(paw), 4, 4)
-delta = [
-    a - b
-    for a, b in zip(reliability(table, 1).coeffs, reliability(paw_table, 1).coeffs)
-]
+print("R_C4 coefficients (N_i^(1), i = 0..4):", reliability(table, 1))
+delta = [a - b for a, b in zip(reliability(table, 1), reliability(paw_table, 1))]
 print("R_C4 - R_paw coefficient differences:", delta)
-print("certified on [0,1]:", bernstein_certify(delta).status)
+print(f"certified on [0,1] (subdividing at most {CERTIFY_DEPTH} times):",
+      bernstein_certify(delta).status)
 back = bernstein_certify([-d for d in delta])
 print("reverse direction:", back.status, "at p =", back.witness)

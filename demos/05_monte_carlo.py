@@ -12,9 +12,11 @@ reproducible.
 from fractions import Fraction
 
 from relpoly import cross_check, estimate, fixture
+from relpoly.mc import BAND_SIGMAS
 
 g = fixture("complete_minus_matching", 6, 3)
 print(f"graph: K6 minus a perfect matching ({g.n} vertices, {g.m} edges)")
+print(f"an estimate agrees when it is within {BAND_SIGMAS} standard errors of the exact value")
 
 for k in (1, 2):
     for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
@@ -23,8 +25,7 @@ for k in (1, 2):
         print(
             f"  k={k} p={p}: estimate {est.mean:.5f} +- {est.stderr:.5f}, "
             f"exact {float(report.exact):.5f}, "
-            f"{'agrees' if report.passed else 'DISAGREES'} within "
-            f"{report.tolerance_sigmas:g} sigma"
+            f"{'agrees' if report.passed else 'DISAGREES'}"
         )
 
 print()

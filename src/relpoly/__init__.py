@@ -9,9 +9,7 @@ C(n, m) of connected graphs.
 
 from .counts import (
     CertifyOutcome,
-    MuVector,
     NTable,
-    ReliabilityPoly,
     bernstein_certify,
     lambda_k,
     mu_lex_compare,

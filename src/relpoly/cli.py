@@ -155,7 +155,6 @@ def build_parser() -> _Parser:
     p_mc.add_argument("--trials", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--cross-check", action="store_true", dest="do_cross_check")
-    p_mc.add_argument("--sigmas", type=float, default=4.0)
     return parser
 
 
@@ -185,7 +184,7 @@ def _cmd_counts(args) -> int:
     _dump(
         {
             "table": table.to_json_dict(),
-            "mu": [str(v) for v in mu_vector(table).values],
+            "mu": [str(v) for v in mu_vector(table)],
             "t": [str(t_k(table, k)) for k in range(1, g.n + 1)],
             "lambda": [lambda_k(table, k) for k in range(1, g.n + 1)],
         }
@@ -218,8 +217,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.limit is not None and args.limit < 1:
-        raise ParameterError("--limit must be at least 1")
     csv = Path(args.csv) if args.csv else None
     # refuse an unwritable CSV path before the scan, not after it
     if csv is not None and not os.access(csv.parent, os.W_OK):
@@ -266,7 +263,7 @@ def _cmd_mc(args) -> int:
     p = _parse_rational(args.p)
     if args.do_cross_check:
         require_connected(g)  # the exact side needs a count table
-        report = cross_check(g, args.k, p, args.trials, args.seed, args.sigmas)
+        report = cross_check(g, args.k, p, args.trials, args.seed)
         est = report.estimate
         _dump(
             {

@@ -1,6 +1,6 @@
 """Spanning-subgraph count tables and everything derived from them:
-prefix sums, mu-vectors, reliability polynomials, connectivity invariants,
-and Bernstein-subdivision sign certificates.
+prefix sums, mu-vectors and reliability coefficients (plain integer tuples),
+connectivity invariants, and Bernstein-subdivision sign certificates.
 """
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from .tutte import tutte_dc
 NONNEGATIVE_ON_01 = "NonnegativeOn01"
 NEGATIVE_WITNESS = "NegativeWitness"
 UNKNOWN = "Unknown"
+# halvings of [0, 1] before bernstein_certify gives up on a subinterval
+CERTIFY_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -103,55 +105,39 @@ def ntable_bruteforce(g: SimpleGraph) -> NTable:
     return NTable(g.n, g.m, tuple((0, *row[1:]) for row in edge_subset_census(g)))
 
 
-@dataclass(frozen=True)
-class MuVector:
+def mu_vector(table: NTable) -> tuple[int, ...]:
     """mu_i = C(m, i) - N_i^(1), compared lexicographically across a class."""
-
-    values: tuple[int, ...]
-
-
-def mu_vector(table: NTable) -> MuVector:
-    return MuVector(
-        tuple(comb(table.m, i) - table.prefix[i][1] for i in range(table.m + 1))
-    )
+    return tuple(comb(table.m, i) - table.prefix[i][1] for i in range(table.m + 1))
 
 
-def mu_lex_compare(a: MuVector, b: MuVector) -> int:
-    """-1, 0, or +1 for a before/equal/after b in lexicographic order."""
-    if len(a.values) != len(b.values):
+def mu_lex_compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """-1, 0, or +1 for mu-vector a before/equal/after b in lexicographic order."""
+    if len(a) != len(b):
         raise DimensionMismatchError("mu-vectors of different lengths are not comparable")
-    if a.values < b.values:
+    if a < b:
         return -1
-    if a.values > b.values:
+    if a > b:
         return 1
     return 0
 
 
-@dataclass(frozen=True)
-class ReliabilityPoly:
-    """R^(k)(p) = sum_i coeffs[i] p^i (1-p)^(m-i), kept in that basis."""
-
-    m: int
-    k: int
-    coeffs: tuple[int, ...]
-
-
-def reliability(table: NTable, k: int) -> ReliabilityPoly:
+def reliability(table: NTable, k: int) -> tuple[int, ...]:
+    """(N_0^(k), ..., N_m^(k)), the coefficients of R^(k) in the p^i (1-p)^(m-i) basis."""
     _require_in("k", k, 1, table.n)
-    return ReliabilityPoly(
-        table.m, k, tuple(table.prefix[i][k] for i in range(table.m + 1))
-    )
+    return tuple(table.prefix[i][k] for i in range(table.m + 1))
 
 
-def rel_eval(rp: ReliabilityPoly, p: Fraction | int) -> Fraction:
+def rel_eval(coeffs: tuple[int, ...], p: Fraction | int) -> Fraction:
+    """sum_i coeffs[i] p^i (1-p)^(m-i), with m = len(coeffs) - 1."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ParameterError(f"p = {p} outside [0, 1]")
     q = 1 - p
+    m = len(coeffs) - 1
     total = Fraction(0)
-    for i, c in enumerate(rp.coeffs):
+    for i, c in enumerate(coeffs):
         if c:
-            total += c * p**i * q ** (rp.m - i)
+            total += c * p**i * q ** (m - i)
     return total
 
 
@@ -200,34 +186,18 @@ def t_k(table: NTable, k: int) -> int:
 class CertifyOutcome:
     status: str  # NONNEGATIVE_ON_01 | NEGATIVE_WITNESS | UNKNOWN
     witness: Fraction | None = None
-    max_depth_hit: bool = False
 
 
-def bernstein_certify(delta, max_depth: int = 30) -> CertifyOutcome:
+def bernstein_certify(delta) -> CertifyOutcome:
     """Sign of sum_i delta[i] p^i (1-p)^(m-i) on [0, 1].
 
     NonnegativeOn01 is returned only with a full subdivision certificate;
-    NegativeWitness carries a rational p with an exactly negative value.
+    NegativeWitness carries a rational p with an exactly negative value;
+    Unknown means a subinterval still has mixed signs at CERTIFY_DEPTH.
     """
     m = len(delta) - 1
-    if m < 0:
-        return CertifyOutcome(NONNEGATIVE_ON_01)
     # Bernstein coefficients: divide out the binomial weights
     coeffs = [Fraction(c) / comb(m, i) for i, c in enumerate(delta)]
-
-    def value_at(p: Fraction) -> Fraction:
-        q = 1 - p
-        return sum(
-            (Fraction(c) * p**i * q ** (m - i) for i, c in enumerate(delta)),
-            Fraction(0),
-        )
-
-    # cheap scan for an early witness
-    for num in range(0, 9):
-        p = Fraction(num, 8)
-        if value_at(p) < 0:
-            return CertifyOutcome(NEGATIVE_WITNESS, witness=p)
-
     half = Fraction(1, 2)
     unresolved = False
     stack = [(coeffs, Fraction(0), Fraction(1), 0)]
@@ -239,16 +209,14 @@ def bernstein_certify(delta, max_depth: int = 30) -> CertifyOutcome:
             return CertifyOutcome(NEGATIVE_WITNESS, witness=lo)
         if cs[-1] < 0:
             return CertifyOutcome(NEGATIVE_WITNESS, witness=hi)
-        if depth >= max_depth:
+        if depth >= CERTIFY_DEPTH:
             unresolved = True
             continue
         left, right = _decasteljau_split(cs, half)
         mid = (lo + hi) / 2
         stack.append((left, lo, mid, depth + 1))
         stack.append((right, mid, hi, depth + 1))
-    if unresolved:
-        return CertifyOutcome(UNKNOWN, max_depth_hit=True)
-    return CertifyOutcome(NONNEGATIVE_ON_01)
+    return CertifyOutcome(UNKNOWN if unresolved else NONNEGATIVE_ON_01)
 
 
 def _decasteljau_split(coeffs, t):

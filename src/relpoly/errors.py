@@ -19,8 +19,8 @@ class ParameterError(ValueError):
     """A usage error: a bad command-line option or rational, or a parameter
     outside its range (p outside [0, 1], or (0, 1) on the Tutte route; k or
     a table index outside its table; trials below 1; a seed outside
-    0..2^64-1; a tolerance that is not finite and positive; an unknown
-    order; a scan limit below 1; an unwritable CSV path)."""
+    0..2^64-1; an unknown order; a scan limit below 1; an unwritable CSV
+    path; a partial scan report given to verify_section4)."""
 
 
 class EmptyClassError(ParameterError):

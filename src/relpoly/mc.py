@@ -15,7 +15,8 @@ trials where no link[k][.] bit is set, so a trial's component count is the
 number of such vertices.  The count is exact: a vertex that is not last
 reaches a later vertex of its component, and the first live vertex on that
 path is joined to it through eliminated vertices only.  The kernel uses numpy
-and the edge list, none of the exact engines it checks.
+and the edge list, none of the exact engines it checks.  cross_check's band
+is a fixed BAND_SIGMAS = 4 standard errors.
 """
 from __future__ import annotations
 
@@ -33,6 +34,8 @@ BATCH_SIZE = 1 << 14
 # uniforms per draw call: a batch is drawn in row blocks of about this size,
 # which continue one stream, so a dense graph never holds a whole batch's draw
 DRAW_BLOCK = 1 << 20
+# half-width of the cross-check's acceptance band, in standard errors
+BAND_SIGMAS = 4
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,6 @@ class CrossCheckReport:
     exact: Fraction
     diff: float
     sigma: float  # standard error used for the band
-    tolerance_sigmas: float
     passed: bool
 
 
@@ -154,10 +156,9 @@ def cross_check(
     p,
     trials: int,
     seed: int,
-    tolerance_sigmas: float = 4.0,
     exact: Fraction | None = None,
 ) -> CrossCheckReport:
-    """Fail iff |estimate - exact| exceeds tolerance_sigmas standard errors.
+    """Fail iff |estimate - exact| exceeds BAND_SIGMAS standard errors.
 
     The band uses the larger of the plug-in standard error and the one
     implied by the exact value, sqrt(exact*(1-exact)/trials); the plug-in
@@ -166,10 +167,6 @@ def cross_check(
     meaningful scale.  exact defaults to the Whitney-route value; pass a
     corrupted value to exercise the negative-control path.
     """
-    if not (math.isfinite(tolerance_sigmas) and tolerance_sigmas > 0):
-        raise ParameterError(
-            f"tolerance of {tolerance_sigmas} sigmas; need a finite positive number"
-        )
     est = estimate(g, k, p, trials, seed)
     if exact is None:
         table = ntable_from_whitney(whitney(g), g.n, g.m)
@@ -177,12 +174,6 @@ def cross_check(
     diff = abs(est.mean - float(exact))
     sigma0 = math.sqrt(float(exact * (1 - exact)) / trials) if 0 <= exact <= 1 else 0.0
     sigma = max(est.stderr, sigma0)
-    passed = diff <= tolerance_sigmas * sigma
     return CrossCheckReport(
-        estimate=est,
-        exact=exact,
-        diff=diff,
-        sigma=sigma,
-        tolerance_sigmas=tolerance_sigmas,
-        passed=passed,
+        estimate=est, exact=exact, diff=diff, sigma=sigma, passed=diff <= BAND_SIGMAS * sigma
     )

@@ -28,7 +28,7 @@ from .counts import (
     ntable_from_whitney,
     t_k,
 )
-from .errors import BudgetError, EmptyClassError
+from .errors import BudgetError, EmptyClassError, ParameterError
 # canonical_form and canonical_relabel are unused here but stay importable
 # from this module because perfbench/tracer.py wraps them here
 from .graphs import (  # noqa: F401
@@ -168,7 +168,7 @@ def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
         graph6=to_graph6(g),
         whitney=w,
         table=table,
-        mu=mu_vector(table).values,
+        mu=mu_vector(table),
         t_list=tuple(t_k(table, k) for k in range(1, g.n + 1)),
         lambda_list=tuple(lambda_k(table, k) for k in range(1, g.n + 1)),
     )
@@ -282,13 +282,14 @@ def _maxima_flags(polys, candidates, compare, refuters: dict) -> list[bool]:
 def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     """Classify every member of C(n, m): strong / 0-element / Whitney-maximum /
     Tutte-maximum / t-optimal, with division certificates for the maxima.
-    limit (smoke mode) scans only the first members; the report is partial."""
+    limit (smoke mode, at least 1) scans only the first members; the report
+    is then partial."""
+    if limit is not None and limit < 1:
+        raise ParameterError(f"scan limit {limit}; need at least 1")
     members = enumerate_class(spec)
     truncated = limit is not None and limit < len(members)
     if truncated:
         members = members[:limit]
-    if not members:
-        raise BudgetError(f"scan of C({spec.n}, {spec.m}) produced no members")
 
     # one deletion-contraction memo per scan
     memo: dict = {}
@@ -373,7 +374,10 @@ def verify_section4(report: ClassReport) -> Section4Result:
     """Check the invariant-maxima consequences on a fully scanned class:
     every Whitney-maximum member attains the class maxima of lambda^(k) and
     t_k for all k, is a mu-lex minimum, and every member sharing its N^(1)
-    row (equivalently its mu-vector) is a 0-element too."""
+    row (equivalently its mu-vector) is a 0-element too.  A partial report
+    is refused: its flags are relative to the members it scanned."""
+    if report.partial:
+        raise ParameterError("verify_section4 needs a fully scanned class, not a partial report")
     members = report.members
     wm = [r for r in members if r.whitney_max]
     if not wm:

@@ -246,7 +246,7 @@ def test_criterion_9_monte_carlo_cross_check(capsys):
         g = _random_connected(rng, (4, 5, 6, 7), m_cap=16)
         k = rng.randint(1, g.n)
         p = Fraction(rng.randint(1, 9), 10)
-        report = cross_check(g, k, p, trials=100_000, seed=9000 + trial, tolerance_sigmas=4.0)
+        report = cross_check(g, k, p, trials=100_000, seed=9000 + trial)
         assert report.passed, (g, k, p, report)
     base = cross_check(
         fixture("cycle", 4), 1, Fraction(1, 2), trials=100_000, seed=77

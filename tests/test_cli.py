@@ -263,10 +263,6 @@ _REFUSALS = [
     (["mc", *_C3, "--k", "1", "--p", "3/2", "--trials", "100"], "usage", 2),
     ([*_MC, "--seed", "-1"], "usage", 2),
     ([*_MC, "--seed", str(2**64)], "usage", 2),
-    ([*_MC, "--cross-check", "--sigmas", "-1"], "usage", 2),
-    ([*_MC, "--cross-check", "--sigmas", "0"], "usage", 2),
-    ([*_MC, "--cross-check", "--sigmas", "nan"], "usage", 2),
-    ([*_MC, "--cross-check", "--sigmas", "inf"], "usage", 2),
     (["mc", "--graph", "g6:C`", "--k", "1", "--p", "1/2", "--trials", "100",
       "--cross-check"], "input", 2),
     (["frobnicate"], "usage", 2),

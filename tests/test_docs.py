@@ -1,0 +1,82 @@
+"""The demos and the README stay in step with the code.
+
+Every demo runs with its default arguments and exits 0.  Every `relpoly ...`
+line of the README's command block parses with the CLI's own parser, and
+every option the README's prose names in backticks, such as `mc --trials`
+or `--expect-maximum`, is an option of that command (of some command, when
+none is named), so a removed option cannot stay documented.
+"""
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import relpoly
+from relpoly.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def command_options() -> dict[str, set[str]]:
+    """Option strings of each subcommand of the relpoly parser."""
+    parser = build_parser()
+    (sub,) = parser._subparsers._group_actions
+    return {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+
+
+def readme_command_lines() -> list[str]:
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S):
+        lines += [ln for ln in block.splitlines() if ln.startswith("relpoly ")]
+    return lines
+
+
+def readme_option_mentions() -> list[tuple[str | None, str]]:
+    """(command or None, option) for each backticked span in the prose that
+    is a bare option or a command followed by options."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    commands = command_options()
+    mentions = []
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        words = span.split()
+        if words[0] in commands and len(words) > 1 and words[1].startswith("--"):
+            mentions += [(words[0], w) for w in words[1:] if w.startswith("--")]
+        elif re.fullmatch(r"--[a-z][a-z-]*", span):
+            mentions.append((None, span))
+    return mentions
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    src = str(Path(relpoly.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_command_block_parses():
+    lines = readme_command_lines()
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        build_parser().parse_args(argv)  # a ParameterError fails the test
+
+
+def test_readme_prose_names_only_existing_options():
+    mentions = readme_option_mentions()
+    assert ("scan", "--limit") in mentions and (None, "--expect-maximum") in mentions
+    options = command_options()
+    every = set().union(*options.values())
+    unknown = [
+        f"{cmd or ''} {opt}".strip()
+        for cmd, opt in mentions
+        if opt not in (options[cmd] if cmd else every)
+    ]
+    assert not unknown, unknown

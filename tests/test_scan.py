@@ -9,7 +9,7 @@ import pytest
 
 from conftest import all_labeled_graphs
 from relpoly.cli import main
-from relpoly.errors import BudgetError, EmptyClassError
+from relpoly.errors import BudgetError, EmptyClassError, ParameterError
 from relpoly.graphs import (
     SimpleGraph,
     automorphism_count,
@@ -293,6 +293,13 @@ def test_scan_limit_smoke_mode():
     assert [r.graph6 for r in report.members] == [r.graph6 for r in full.members[:2]]
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_scan_refuses_a_limit_below_one(limit):
+    # a usage error, not a silently short report or a budget refusal
+    with pytest.raises(ParameterError):
+        scan(ClassSpec(5, 6), limit=limit)
+
+
 def test_scan_report_serialization():
     report = scan(ClassSpec(4, 4))
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
@@ -308,6 +315,15 @@ def test_verify_section4_c44():
     result = verify_section4(report)
     assert result.ok and not result.vacuous
     assert result.failures == ()
+
+
+def test_verify_section4_refuses_a_partial_report():
+    # the first 40 members of C(8, 18) flag a Tutte maximum that the full
+    # class does not have, so their maxima say nothing about the class
+    report = scan(ClassSpec(8, 18), limit=40)
+    assert report.partial and report.summary["tutte_max"] == 1
+    with pytest.raises(ParameterError):
+        verify_section4(report)
 
 
 def test_verify_section4_small_sweep():
