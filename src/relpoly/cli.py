@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 negative verdict (failed --expect-maximum or
 cross-check), 2 refused input: "usage" (ParameterError: a bad option, or a
 parameter out of range, such as k outside 1..n or p outside [0, 1]),
-"parse" (GraphFormatError, DimensionMismatchError) or "input" (a
-disconnected graph where a connected one is needed), 3 budget refusal,
-4 "internal": any other exception, a fault of the program rather than of
-the input.  All rationals cross the interface as "a/b" strings; errors go
-to stderr as one JSON line {"error": kind, "message": text}.
+"parse" (GraphFormatError, DimensionMismatchError) or "input"
+(DisconnectedGraphError), 3 budget refusal, 4 "internal": any other
+exception, a fault of the program rather than of the input, such as a
+TableConsistencyError (connectivity is checked first, so a bad count table
+means a wrong polynomial).  All rationals cross the interface as "a/b"
+strings; errors go to stderr as one JSON line {"error": kind, "message": text}.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .errors import (
     DisconnectedGraphError,
     GraphFormatError,
     ParameterError,
-    TableConsistencyError,
 )
 from .graphs import (
     SimpleGraph,
@@ -133,7 +133,8 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--m", type=int, required=True)
     p_scan.add_argument("--limit", type=int, default=None,
-                        help="smoke mode: scan only the first N members (report marked partial)")
+                        help="smoke mode: scan only the first N members (report marked "
+                             "partial); the whole class is still enumerated first")
     # every scan certifies every member: --full does nothing and stays hidden,
     # accepted for existing invocations (perfbench's scan-c8-18-full workload)
     p_scan.add_argument("--full", action="store_true", help=argparse.SUPPRESS)
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         _emit_error("budget", str(exc))
         return EXIT_BUDGET
-    except (DisconnectedGraphError, TableConsistencyError) as exc:
+    except DisconnectedGraphError as exc:
         _emit_error("input", str(exc))
         return EXIT_USAGE
     except (GraphFormatError, DimensionMismatchError) as exc:

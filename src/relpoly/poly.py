@@ -2,11 +2,14 @@
 
 Terms are stored as a dict mapping exponent pairs (a, b) to nonzero Python
 ints, so every operation is exact regardless of coefficient size.
+
+shift_vars substitutes x -> x + dx, y -> y + dy one variable at a time: a
+Taylor shift by synthetic division of each row (one power of y), then of
+each column, O(A^2 B + A B^2) additions for degrees A in x and B in y.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Iterator
 
 
@@ -167,47 +170,15 @@ class BivarPoly:
     # -- substitutions and evaluation -------------------------------------
 
     def shift_vars(self, dx: int, dy: int) -> "BivarPoly":
-        """Substitute x -> x + dx and y -> y + dy, expanded exactly."""
-        if dx == 0 and dy == 0:
-            return self
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in self._terms.items():
-            # (x+dx)^a (y+dy)^b expanded via binomials
-            xs = [(i, comb(a, i) * dx ** (a - i)) for i in range(a + 1)]
-            ys = [(j, comb(b, j) * dy ** (b - j)) for j in range(b + 1)]
-            for i, cx in xs:
-                if not cx:
-                    continue
-                cxc = cx * c
-                for j, cy in ys:
-                    if not cy:
-                        continue
-                    k = (i, j)
-                    s = out.get(k, 0) + cxc * cy
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return BivarPoly._raw(out)
+        """Substitute x -> x + dx and y -> y + dy, expanded exactly: each row
+        (one power of y) is Taylor-shifted by dx, then each column by dy."""
+        return BivarPoly._raw(_taylor_shift(_taylor_shift(self._terms, 0, dx), 1, dy))
 
     def eval_rational(self, x0: Fraction | int, y0: Fraction | int) -> Fraction:
         """Exact value at a rational point."""
         x0 = Fraction(x0)
         y0 = Fraction(y0)
-        xp: dict[int, Fraction] = {0: Fraction(1)}
-        yp: dict[int, Fraction] = {0: Fraction(1)}
-
-        def power(cache: dict[int, Fraction], base: Fraction, e: int) -> Fraction:
-            v = cache.get(e)
-            if v is None:
-                v = base ** e
-                cache[e] = v
-            return v
-
-        total = Fraction(0)
-        for (a, b), c in self._terms.items():
-            total += c * power(xp, x0, a) * power(yp, y0, b)
-        return total
+        return sum((c * x0**a * y0**b for (a, b), c in self._terms.items()), Fraction(0))
 
     # -- serialization -----------------------------------------------------
 
@@ -252,3 +223,25 @@ class BivarPoly:
 
     def __repr__(self) -> str:
         return f"BivarPoly({self})"
+
+
+def _taylor_shift(terms: dict, axis: int, d: int) -> dict:
+    """Substitute t -> t + d for the variable of exponent key[axis], one line
+    (fixed other exponent) at a time, by repeated synthetic division: pass i
+    adds d times c[j + 1] into c[j] for j = top - 1 down to i."""
+    if not d:
+        return terms
+    lines: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        lines.setdefault(key[1 - axis], {})[key[axis]] = c
+    out = {}
+    for other, line in lines.items():
+        top = max(line)
+        cs = [line.get(e, 0) for e in range(top + 1)]
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                cs[j] += d * cs[j + 1]
+        for e, c in enumerate(cs):
+            if c:
+                out[(e, other) if axis == 0 else (other, e)] = c
+    return out

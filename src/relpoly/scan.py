@@ -283,7 +283,8 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     """Classify every member of C(n, m): strong / 0-element / Whitney-maximum /
     Tutte-maximum / t-optimal, with division certificates for the maxima.
     limit (smoke mode, at least 1) scans only the first members; the report
-    is then partial."""
+    is then partial.  The whole class is still enumerated and canonically
+    labeled first, so this saves only about half of a full C(8, 18) scan."""
     if limit is not None and limit < 1:
         raise ParameterError(f"scan limit {limit}; need at least 1")
     members = enumerate_class(spec)

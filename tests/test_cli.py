@@ -8,7 +8,7 @@ import pytest
 from relpoly.cli import main
 from relpoly.graphs import fixture, to_graph6
 from relpoly.poly import BivarPoly
-from relpoly.tutte import tutte_dc
+from relpoly.tutte import tutte_dc, whitney
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +305,20 @@ def test_internal_fault_is_not_a_parse_error(capsys, monkeypatch):
     assert code == 4 and not out
     (line,) = err.splitlines()
     assert json.loads(line) == {"error": "internal", "message": "ValueError: simulated fault"}
+
+
+def test_table_invariant_failure_is_internal(capsys, monkeypatch):
+    # the graph is checked connected first, so a bad table means a wrong polynomial
+    def off_by_x(g):
+        return whitney(g) + BivarPoly.x()
+
+    monkeypatch.setattr("relpoly.cli.whitney", off_by_x)
+    code, out, err = run_cli(capsys, "counts", "--graph", "fixture:cycle:4")
+    assert code == 4 and not out
+    assert json.loads(err) == {
+        "error": "internal",
+        "message": "TableConsistencyError: row 2 sums to 7, expected C(4,2) = 6",
+    }
 
 
 def test_certify_dimension_mismatch(capsys):

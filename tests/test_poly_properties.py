@@ -4,7 +4,7 @@ import pickle
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from relpoly.poly import BivarPoly  # noqa: E402
@@ -90,3 +90,24 @@ def test_shift_vars_is_substitution(p, dx, dy, x0, y0):
 @given(polys, shifts, shifts)
 def test_shift_vars_round_trips(p, dx, dy):
     assert p.shift_vars(dx, dy).shift_vars(-dx, -dy) == p
+
+
+# rows and columns up to degree 12, past the degree-4 polynomials above
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), coefficients, max_size=8
+).map(BivarPoly)
+# a full 13 x 13 block, so every row and column has degree 12
+dense_block = BivarPoly({(a, b): a * 13 + b - 84 for a in range(13) for b in range(13)})
+
+
+@ring_law
+@given(wide_polys, shifts, shifts)
+@example(dense_block, -1, -1)
+@example(dense_block, 2, -2)
+def test_shift_vars_matches_ring_substitution(p, dx, dy):
+    # the oracle: sum of c (x + dx)^a (y + dy)^b in BivarPoly's ring arithmetic
+    x, y = BivarPoly.x() + dx, BivarPoly.y() + dy
+    expected = BivarPoly.zero()
+    for a, b, c in p.terms():
+        expected = expected + c * x**a * y**b
+    assert p.shift_vars(dx, dy) == expected
