@@ -473,11 +473,13 @@ class CanonicalLabeling(NamedTuple):
     cert: bytes  # equal for two graphs exactly when they are isomorphic
     graph: Graph  # the graph relabeled into canonical order, of its own type
     generators: tuple[tuple[int, ...], ...]  # generate Aut(graph); vertex -> image
+    positions: tuple[int, ...]  # vertex of the input -> its vertex in graph
 
 
 def canonical_labeling(g: Graph) -> CanonicalLabeling:
-    """Certificate, canonically labeled copy and generators of the copy's
-    automorphism group, all from one search of g."""
+    """Certificate, canonically labeled copy, generators of the copy's
+    automorphism group and the map from g's vertices onto the copy's, all
+    from one search of g."""
     mult, loops = _mult_and_loops(g)
     cert, order, gens = _canon_search(g.n, mult, loops)
     pos = [0] * g.n
@@ -485,7 +487,7 @@ def canonical_labeling(g: Graph) -> CanonicalLabeling:
         pos[v] = p
     # gen maps v to gen[v] on g, so it maps p to pos[gen[order[p]]] on the copy
     copy_gens = tuple(tuple(pos[gen[v]] for v in order) for gen in gens)
-    return CanonicalLabeling(cert, g.relabel(pos), copy_gens)
+    return CanonicalLabeling(cert, g.relabel(pos), copy_gens, tuple(pos))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -63,48 +63,121 @@ class ClassSpec:
             )
 
 
+def _pair_orbit(pair: tuple[int, int], gens) -> set[tuple[int, int]]:
+    """The orbit of the vertex pair (u, v), u < v, under the group that
+    gens generate."""
+    orbit = {pair}
+    stack = [pair]
+    while stack:
+        a, b = stack.pop()
+        for gen in gens:
+            x, y = gen[a], gen[b]
+            image = (x, y) if x < y else (y, x)
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
+
+
 def _nonedge_orbit_reps(g: SimpleGraph, gens):
     """The least non-edge of each orbit of the group generated by gens on
     the non-edges of g."""
     covered: set[tuple[int, int]] = set()
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if g.has_edge(u, v) or (u, v) in covered:
-                continue
-            yield u, v
-            covered.add((u, v))
-            stack = [(u, v)]
-            while stack:
-                a, b = stack.pop()
-                for gen in gens:
-                    x, y = gen[a], gen[b]
-                    pair = (x, y) if x < y else (y, x)
-                    if pair not in covered:
-                        covered.add(pair)
-                        stack.append(pair)
+            if not g.has_edge(u, v) and (u, v) not in covered:
+                yield u, v
+                covered |= _pair_orbit((u, v), gens)
 
 
-def _graphs_with_edges(n: int, m: int) -> list[SimpleGraph]:
+def _edges_tied_with(g: SimpleGraph, u: int, v: int):
+    """The edges of G = g + uv whose invariant equals that of uv, uv first,
+    or None when an edge of G has a larger one.  The invariant of an edge
+    is its sorted pair of endpoint degrees, then the number of common
+    neighbours of its endpoints, all in G; it needs no labeling."""
+    adj = list(g.adjacency)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    deg = [mask.bit_count() for mask in adj]
+    mine = (deg[u], deg[v]) if deg[u] < deg[v] else (deg[v], deg[u])
+    common = (adj[u] & adj[v]).bit_count()
+    tied = [(u, v)]
+    for a, b in g.edges:
+        da, db = deg[a], deg[b]
+        pair = (da, db) if da < db else (db, da)
+        if pair < mine:
+            continue
+        if pair > mine:
+            return None
+        shared = (adj[a] & adj[b]).bit_count()
+        if shared > common:
+            return None
+        if shared == common:
+            tied.append((a, b))
+    return tied
+
+
+def _deletes_canonically(labeling: CanonicalLabeling, tied) -> bool:
+    """Whether tied[0] is in the automorphism orbit of the canonical
+    deletable edge: of the tied edges, the one whose endpoints come latest
+    in the canonical order of labeling."""
+    pos = labeling.positions
+    images = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in tied]
+    canonical = max(images, key=lambda pair: (pair[1], pair[0]))
+    return images[0] == canonical or images[0] in _pair_orbit(canonical, labeling.generators)
+
+
+def _graphs_with_edges(
+    n: int, m: int, complement: bool = False, connected: bool = False
+) -> list[SimpleGraph]:
     """One canonical representative per isomorphism class of graphs on n
     labeled vertices with exactly m edges (connected or not), sorted by
-    certificate.
+    certificate.  With complement, the complements of those graphs instead;
+    with connected, only the connected ones of what would be returned.
 
-    Each level adds one edge to every class of the level below.  Non-edges
-    in one orbit of the parent's automorphism group give isomorphic children,
-    so only one per orbit is tried (McKay, "Isomorph-free exhaustive
-    generation", 1998); any group of true automorphisms keeps this
-    exhaustive.  The search that names a child's class also labels it
-    canonically and finds the generators used one level up."""
-    empty = canonical_labeling(SimpleGraph(n, ()))
-    current = {empty.cert: empty}
-    for _ in range(m):
-        nxt: dict[bytes, CanonicalLabeling] = {}
-        for parent in current.values():
-            for u, v in _nonedge_orbit_reps(parent.graph, parent.generators):
-                child = canonical_labeling(parent.graph.with_edge(u, v))
-                nxt.setdefault(child.cert, child)
-        current = nxt
-    return [current[cert].graph for cert in sorted(current)]
+    Generation is depth first by canonical deletion (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  A graph P is extended by
+    one non-edge per orbit of Aut(P), since non-edges in one orbit give
+    isomorphic children, and the child G = P + e is kept only if e is in
+    the Aut(G)-orbit of G's canonical deletable edge.  Every class then has
+    exactly one parent class and is reached from it once, so no child needs
+    to be compared with another.  The canonical deletable edge has the
+    largest invariant (_edges_tied_with), so a child with an edge that beats
+    e is dropped before any search; ties go to the edge whose endpoints come
+    latest in G's canonical order.  One search of a surviving child gives
+    that order, its canonical copy and the generators used one level down.
+
+    At level m only the graph that will be returned is searched: the
+    complement when asked for, which has the same automorphisms and whose
+    canonical order is as good an invariant order of G."""
+    kept: list[CanonicalLabeling] = []
+
+    def grow(parent: CanonicalLabeling, level: int) -> None:
+        last = level == m
+        for u, v in _nonedge_orbit_reps(parent.graph, parent.generators):
+            tied = _edges_tied_with(parent.graph, u, v)
+            if tied is None:
+                continue
+            child = parent.graph.with_edge(u, v)
+            if last:
+                child = child.complement() if complement else child
+                if connected and not child.is_connected():
+                    continue
+            labeling = canonical_labeling(child)
+            if not _deletes_canonically(labeling, tied):
+                continue
+            if last:
+                kept.append(labeling)
+            else:
+                grow(labeling, level + 1)
+
+    empty = SimpleGraph(n, ())
+    if m == 0:
+        # the empty and the complete graph are their own canonical copies
+        root = empty.complement() if complement else empty
+        return [root] if not connected or root.is_connected() else []
+    grow(canonical_labeling(empty), 1)
+    return [labeling.graph for labeling in sorted(kept, key=lambda c: c.cert)]
 
 
 def enumerate_class(spec: ClassSpec) -> list[SimpleGraph]:
@@ -116,12 +189,8 @@ def enumerate_class(spec: ClassSpec) -> list[SimpleGraph]:
         )
     total = spec.n * (spec.n - 1) // 2
     if spec.m <= total // 2:
-        # already canonical and sorted: a simple graph is determined by its
-        # certificate, which is its encoding under the identity order
-        return [g for g in _graphs_with_edges(spec.n, spec.m) if g.is_connected()]
-    complements = (g.complement() for g in _graphs_with_edges(spec.n, total - spec.m))
-    labelings = [canonical_labeling(g) for g in complements if g.is_connected()]
-    return [c.graph for c in sorted(labelings, key=lambda c: c.cert)]
+        return _graphs_with_edges(spec.n, spec.m, connected=True)
+    return _graphs_with_edges(spec.n, total - spec.m, complement=True, connected=True)
 
 
 def labeled_connected_count(n: int, m: int) -> int:
@@ -284,7 +353,8 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     Tutte-maximum / t-optimal, with division certificates for the maxima.
     limit (smoke mode, at least 1) scans only the first members; the report
     is then partial.  The whole class is still enumerated and canonically
-    labeled first, so this saves only about half of a full C(8, 18) scan."""
+    labeled first, so a limited C(8, 18) scan still takes about a third of
+    the time of a full one."""
     if limit is not None and limit < 1:
         raise ParameterError(f"scan limit {limit}; need at least 1")
     members = enumerate_class(spec)

@@ -5,6 +5,7 @@ per criterion.  Everything asserted here is exact (integer or rational
 equality) except the Monte Carlo criterion, which uses its stated 4-sigma
 band.
 """
+import hashlib
 import json
 import random
 import time
@@ -41,6 +42,8 @@ FIGURE1_P_TERMS = [
 ]
 
 C_8_18_CLASS_SIZE = 658  # pinned after the automorphism-count identity below
+# sha256 of the stdout of `relpoly scan --n 8 --m 18`: the byte-identity gate
+C_8_18_SCAN_SHA256 = "fa4163112f826e7c98556fa1ab724a41b141a1e8613ba66563e78e650cf6c6c4"
 
 
 def _report(criterion, text):
@@ -96,6 +99,7 @@ def test_criterion_3_unique_whitney_maximum_in_c_8_18(capsys):
     code = cli_main(["scan", "--n", "8", "--m", "18"])
     out = capsys.readouterr().out
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == C_8_18_SCAN_SHA256
     payload = json.loads(out)
     assert payload["partial"] is False
     assert payload["summary"]["class_size"] == C_8_18_CLASS_SIZE

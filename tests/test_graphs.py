@@ -211,6 +211,8 @@ def test_search_generators_generate_the_automorphism_group():
         graphs.append(random_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
     for g in graphs:
         canon = canonical_labeling(g)
+        # positions maps g's vertices onto the copy's
+        assert g.relabel(canon.positions) == canon.graph
         # the generators act on the canonical copy's vertices
         for gen in canon.generators:
             assert canon.graph.relabel(gen) == canon.graph
