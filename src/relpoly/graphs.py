@@ -299,6 +299,13 @@ def _census_dp(n: int, m: int, steps) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def _neighbor_lists(n, mult):
+    """nbrs[v]: (neighbor, weight) pairs.  Weights order like the
+    multiplicities and stay below n * n, which _refine relies on: they are
+    the multiplicities, or their ranks among the graph's distinct ones
+    counted from 1 when some multiplicity reaches n * n."""
+    if max(mult.values(), default=0) >= n * n:
+        rank = {c: r for r, c in enumerate(sorted(set(mult.values())), 1)}
+        mult = {e: rank[c] for e, c in mult.items()}
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (u, v), c in mult.items():
         nbrs[u].append((v, c))
@@ -306,41 +313,88 @@ def _neighbor_lists(n, mult):
     return nbrs
 
 
-def _refine(n, nbrs, cells):
+def _refine(n, nbrs, cells, touched=None):
     """Stable refinement of an ordered partition (cells of ascending
     vertices).  Each round splits every cell by the signatures of its
-    vertices, the sorted (neighbor cell index, multiplicity) pairs, and puts
+    vertices, the sorted (neighbor cell index, edge weight) pairs, and puts
     the parts in place of the cell in signature order, so the cell order
-    depends only on invariants."""
+    depends only on invariants.  A pair is held as the one integer
+    index * n * n + weight, which orders as the pair does.
+
+    A round re-signs only the touched vertices and yields the partition that
+    re-signing every vertex would.  The parts that touch are those McKay
+    ("Practical graph isomorphism", 1981) queues as splitters, every part of
+    a split cell but its largest; here they only decide who is re-signed,
+    so the cell order is unchanged.
+
+    * Rule 1.  After a round, each cell is uniform under the signatures it
+      was split by.  Call the largest part of a cell that split its kept
+      part, and a vertex touched when it has a neighbor in any other part of
+      a split cell.  An untouched vertex's neighbors in a split cell all
+      went to the kept part, so its new signature is its old one under a
+      renumbering of the cells that is the same for every untouched vertex:
+      the untouched vertices of a cell share a signature.  A cell signs one
+      untouched vertex for all of them, re-signs its touched ones, and is
+      skipped when none is touched.
+    * Rule 2.  The caller names the first round's touched set.  A search
+      branch splits a cell of an equitable partition into [v] and the rest,
+      so it passes v's neighbors; None, for a partition that is not
+      equitable, re-signs every vertex.
+
+    A round costs the touched vertices' degrees, plus a pass over the cells
+    and the renumbering of the cells after the first split.
+    """
+    top = n * n
+    colors = [0] * n  # top * cell index
+    fresh = 0  # cells before this index kept their index in the last round
     while True:
-        colors = [0] * n
-        for i, cell in enumerate(cells):
-            for v in cell:
-                colors[v] = i
+        for i in range(fresh, len(cells)):
+            for v in cells[i]:
+                colors[v] = i * top
         split = []
+        moved = []  # vertices of the split cells' parts other than the largest
+        fresh = None
         for cell in cells:
-            if len(cell) == 1:
+            if len(cell) == 1 or touched is not None and touched.isdisjoint(cell):
                 split.append(cell)
                 continue
-            sigs = [tuple(sorted([(colors[u], c) for u, c in nbrs[v]])) for v in cell]
-            rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-            if len(rank) == 1:
+            if touched is None or touched.issuperset(cell):
+                sigs = [tuple(sorted([colors[u] + c for u, c in nbrs[v]])) for v in cell]
+            else:
+                w = next(v for v in cell if v not in touched)
+                shared = tuple(sorted([colors[u] + c for u, c in nbrs[w]]))
+                sigs = [
+                    tuple(sorted([colors[u] + c for u, c in nbrs[v]])) if v in touched else shared
+                    for v in cell
+                ]
+            distinct = set(sigs)
+            if len(distinct) == 1:
                 split.append(cell)
                 continue
+            if fresh is None:
+                fresh = len(split)
+            rank = {sig: i for i, sig in enumerate(sorted(distinct))}
             parts = [[] for _ in rank]
             for v, sig in zip(cell, sigs):
                 parts[rank[sig]].append(v)
             split.extend(parts)
-        if len(split) == len(cells):
+            largest = max(parts, key=len)
+            for part in parts:
+                if part is not largest:
+                    moved.extend(part)
+        if fresh is None:
             return cells
         cells = split
+        touched = {u for v in moved for u, _ in nbrs[v]}
+        if len(touched) == n:
+            touched = None
 
 
 def _initial_cells(n, nbrs, loops):
-    """Refined partition by loop count and sorted incident multiplicities."""
+    """Refined partition by loop count and sorted incident edge weights."""
     cells: dict[tuple, list[int]] = {}
     for v in range(n):
-        key = (loops.get(v, 0), tuple(sorted(c for _, c in nbrs[v])))
+        key = (loops.get(v, 0), tuple(sorted([c for _, c in nbrs[v]])))
         cells.setdefault(key, []).append(v)
     return _refine(n, nbrs, [cells[key] for key in sorted(cells)])
 
@@ -424,7 +478,9 @@ def _canon_search(n, mult, loops):
             explored.append(v)
             rest = [u for u in target if u != v]
             branched = cells[:at] + [[v], rest] + cells[at + 1 :]
-            back = search(_refine(n, nbrs, branched), path + (v,))
+            # rule 2: the split keeps rest, so v's neighbors are the touched set
+            touched = {u for u, _ in nbrs[v]}
+            back = search(_refine(n, nbrs, branched, touched), path + (v,))
             if back is not None and back < depth:
                 return back
         return None

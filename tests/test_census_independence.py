@@ -15,7 +15,7 @@ from pathlib import Path
 import relpoly
 
 ENTRY = "edge_subset_census"
-FORBIDDEN_CALL = re.compile(r"canonical_\w*|_canon_search|_refine|_initial_cells")
+FORBIDDEN_CALL = re.compile(r"canonical_\w*|_canon_search|_refine|_initial_cells|_neighbor_lists")
 FORBIDDEN_MODULES = {"tutte", "poly"}
 EXPANSION_ENTRIES = ("tutte_expansion", "whitney_expansion")
 DC_CALL = re.compile(r"_dc|_dc_block|_core_key|_block_split|tutte_dc|whitney|canonical_\w*")
