@@ -10,8 +10,8 @@ classical specializations fall out of the Whitney polynomial.
 from relpoly import (
     MultiGraph,
     fixture,
-    forest_gen,
-    tree_number,
+    ntable_from_whitney,
+    t_k,
     tree_number_mtt,
     tutte_dc,
     tutte_expansion,
@@ -31,9 +31,11 @@ print("two loops:           ", tutte_dc(loop), "(y^2)")
 print()
 
 k4 = fixture("complete", 4)
-print("K4 spanning trees via W(0,0):      ", tree_number(k4))
+w_k4 = whitney(k4)
+table = ntable_from_whitney(w_k4, k4.n, k4.m)
+print("K4 spanning trees via W(0,0):      ", w_k4.coeff(0, 0))
 print("K4 spanning trees via determinant: ", tree_number_mtt(k4))
-print("K4 spanning forests by tree count: ", forest_gen(k4))
+print("K4 spanning forests by tree count: ", [t_k(table, k) for k in range(1, k4.n + 1)])
 print()
 
 g = fixture("figure1_G")
@@ -42,7 +44,7 @@ t_g = tutte_dc(g, memo)
 print(f"dense 8-vertex example: {t_g.num_terms()} Tutte terms, "
       f"{len(memo)} memoized minors")
 print("matches the expansion over all 2^18 subsets:", t_g == tutte_expansion(g))
-print("tree number:", tree_number(g), "==", tree_number_mtt(g), "(determinant route)")
+print("tree number:", whitney(g, memo).coeff(0, 0), "==", tree_number_mtt(g), "(determinant route)")
 
 k9 = fixture("complete", 9)
 print("K9 (36 edges, 2^36 subsets): expansion equals deletion-contraction:",

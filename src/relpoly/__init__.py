@@ -12,9 +12,7 @@ from .counts import (
     NTable,
     bernstein_certify,
     lambda_k,
-    mu_lex_compare,
     mu_vector,
-    n_leq,
     ntable_bruteforce,
     ntable_from_whitney,
     rel_eval,
@@ -42,7 +40,6 @@ from .graphs import (
     fixture,
     parse_edge_list,
     parse_graph6,
-    rank_corank,
     to_graph6,
 )
 from .mc import CrossCheckReport, McEstimate, cross_check, estimate
@@ -64,8 +61,6 @@ from .scan import (
     verify_section4,
 )
 from .tutte import (
-    forest_gen,
-    tree_number,
     tree_number_mtt,
     tutte_dc,
     tutte_expansion,

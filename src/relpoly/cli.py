@@ -29,6 +29,9 @@ from .counts import (  # noqa: F401
     reliability,
     reliability_from_tutte,
     reliability_via_tutte,
+    require_k,
+    require_probability,
+    require_tutte_probability,
     t_k,
 )
 from .errors import (
@@ -197,6 +200,11 @@ def _cmd_rel(args) -> int:
     g = load_graph(args.graph)
     require_connected(g)
     p = _parse_rational(args.p)
+    # refuse k and p before the deletion-contraction, not after it
+    require_k(args.k, g.n)
+    require_probability(p)
+    if args.via_tutte:
+        require_tutte_probability(p)
     # one deletion-contraction serves both routes: W(x, y) = T(x + 1, y + 1)
     tutte = tutte_dc(g)
     table = ntable_from_whitney(tutte.shift_vars(1, 1), g.n, g.m)

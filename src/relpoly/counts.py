@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .errors import DimensionMismatchError, ParameterError, TableConsistencyError
+from .errors import ParameterError, TableConsistencyError
 from .graphs import SimpleGraph, edge_subset_census, require_connected
 from .poly import BivarPoly
 from .tutte import tutte_dc
@@ -29,11 +29,6 @@ class NTable:
     n: int
     m: int
     rows: tuple[tuple[int, ...], ...]
-
-    def count(self, i: int, j: int) -> int:
-        _require_in("i", i, 0, self.m)
-        _require_in("j", j, 1, self.n)
-        return self.rows[i][j]
 
     @cached_property
     def prefix(self) -> tuple[tuple[int, ...], ...]:
@@ -56,20 +51,25 @@ class NTable:
         }
 
 
-def _require_in(name: str, value: int, lo: int, hi: int) -> None:
-    """Refuse a table index or k outside lo..hi."""
-    if not lo <= value <= hi:
-        raise ParameterError(f"{name}={value} outside {lo}..{hi}")
+def require_k(k: int, n: int) -> None:
+    """Refuse a number of components k outside 1..n."""
+    if not 1 <= k <= n:
+        raise ParameterError(f"k={k} outside 1..{n}")
 
 
-def n_leq(table: NTable, i: int, k: int) -> int:
-    """N_i^(k): subgraphs with i edges and at most k components."""
-    _require_in("i", i, 0, table.m)
-    _require_in("k", k, 1, table.n)
-    return table.prefix[i][k]
+def require_probability(p: Fraction) -> None:
+    """Refuse p outside [0, 1]."""
+    if not 0 <= p <= 1:
+        raise ParameterError(f"p = {p} outside [0, 1]")
 
 
-def _check_row_sums(rows, n, m):
+def require_tutte_probability(p: Fraction) -> None:
+    """Refuse p outside (0, 1), where the Tutte route evaluates T(1, 1/(1-p))."""
+    if not 0 < p < 1:
+        raise ParameterError(f"the Tutte route needs p strictly inside (0, 1); got {p}")
+
+
+def _check_row_sums(rows, m):
     for i, row in enumerate(rows):
         total = sum(row[1:])
         if total != comb(m, i):
@@ -94,7 +94,7 @@ def ntable_from_whitney(w: BivarPoly, n: int, m: int) -> NTable:
                 f"Whitney term x^{a} y^{b} maps outside the (n={n}, m={m}) table"
             )
         rows[i][j] = c
-    _check_row_sums(rows, n, m)
+    _check_row_sums(rows, m)
     return NTable(n, m, tuple(tuple(r) for r in rows))
 
 
@@ -110,28 +110,16 @@ def mu_vector(table: NTable) -> tuple[int, ...]:
     return tuple(comb(table.m, i) - table.prefix[i][1] for i in range(table.m + 1))
 
 
-def mu_lex_compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """-1, 0, or +1 for mu-vector a before/equal/after b in lexicographic order."""
-    if len(a) != len(b):
-        raise DimensionMismatchError("mu-vectors of different lengths are not comparable")
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def reliability(table: NTable, k: int) -> tuple[int, ...]:
     """(N_0^(k), ..., N_m^(k)), the coefficients of R^(k) in the p^i (1-p)^(m-i) basis."""
-    _require_in("k", k, 1, table.n)
+    require_k(k, table.n)
     return tuple(table.prefix[i][k] for i in range(table.m + 1))
 
 
 def rel_eval(coeffs: tuple[int, ...], p: Fraction | int) -> Fraction:
     """sum_i coeffs[i] p^i (1-p)^(m-i), with m = len(coeffs) - 1."""
     p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p = {p} outside [0, 1]")
+    require_probability(p)
     q = 1 - p
     m = len(coeffs) - 1
     total = Fraction(0)
@@ -151,8 +139,7 @@ def reliability_from_tutte(t: BivarPoly, n: int, m: int, p: Fraction | int) -> F
     """p^{n-1} (1-p)^{m-n+1} T(1, 1/(1-p)): the connectedness probability of
     a connected (n, m)-graph whose Tutte polynomial is t."""
     p = Fraction(p)
-    if not 0 < p < 1:
-        raise ParameterError(f"the Tutte route needs p strictly inside (0, 1); got {p}")
+    require_tutte_probability(p)
     value = t.eval_rational(Fraction(1), 1 / (1 - p))
     return p ** (n - 1) * (1 - p) ** (m - n + 1) * value
 
@@ -162,7 +149,7 @@ def lambda_k(table: NTable, k: int) -> int | None:
 
     None for k = n: no removal can force more than n components.
     """
-    _require_in("k", k, 1, table.n)
+    require_k(k, table.n)
     for x in range(table.m + 1):
         if table.prefix[table.m - x][k] < comb(table.m, table.m - x):
             return x
@@ -171,7 +158,7 @@ def lambda_k(table: NTable, k: int) -> int | None:
 
 def t_k(table: NTable, k: int) -> int:
     """Number of spanning forests with exactly k trees: N_{n-k}^(k)."""
-    _require_in("k", k, 1, table.n)
+    require_k(k, table.n)
     i = table.n - k
     if i > table.m:
         return 0

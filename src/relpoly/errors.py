@@ -8,7 +8,7 @@ class GraphFormatError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    """Two graphs, or two of their mu-vectors, that must share (n, m) do not."""
+    """Two graphs that must share (n, m) do not."""
 
 
 class DisconnectedGraphError(ValueError):
@@ -17,10 +17,10 @@ class DisconnectedGraphError(ValueError):
 
 class ParameterError(ValueError):
     """A usage error: a bad command-line option or rational, or a parameter
-    outside its range (p outside [0, 1], or (0, 1) on the Tutte route; k or
-    a table index outside its table; trials below 1; a seed outside
-    0..2^64-1; an unknown order; a scan limit below 1; an unwritable CSV
-    path; a partial scan report given to verify_section4)."""
+    outside its range (p outside [0, 1], or (0, 1) on the Tutte route; k
+    outside 1..n; trials below 1; a seed outside 0..2^64-1; an unknown
+    order; a scan limit below 1; an unwritable CSV path; a partial scan
+    report given to verify_section4)."""
 
 
 class EmptyClassError(ParameterError):

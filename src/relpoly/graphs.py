@@ -53,9 +53,6 @@ class SimpleGraph:
             adj[v] |= 1 << u
         return tuple(adj)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(mask.bit_count() for mask in self.adjacency))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)
 
@@ -166,12 +163,6 @@ def require_connected(g: Graph) -> None:
     kappa, _ = components(g)
     if kappa != 1:
         raise DisconnectedGraphError(f"graph has {kappa} components; need a connected graph")
-
-
-def rank_corank(g: Graph) -> tuple[int, int]:
-    """(rank, corank) = (n - kappa, m - n + kappa)."""
-    kappa, _ = components(g)
-    return g.n - kappa, g.m - g.n + kappa
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,6 @@ class BivarPoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def y_zero_slice(self) -> list[int]:
-        """Coefficients [c_0, ..., c_d] of the univariate restriction y = 0."""
-        xs = {a: c for (a, b), c in self._terms.items() if b == 0}
-        if not xs:
-            return []
-        return [xs.get(a, 0) for a in range(max(xs) + 1)]
-
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.terms())
 

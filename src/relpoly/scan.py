@@ -220,7 +220,6 @@ def labeled_connected_count(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class MemberData:
-    graph: SimpleGraph
     graph6: str
     whitney: BivarPoly
     table: NTable
@@ -233,7 +232,6 @@ def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
     w = whitney(g, memo=memo)
     table = ntable_from_whitney(w, g.n, g.m)
     return MemberData(
-        graph=g,
         graph6=to_graph6(g),
         whitney=w,
         table=table,

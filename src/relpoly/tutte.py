@@ -204,19 +204,6 @@ def whitney(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     return tutte_dc(g, memo=memo).shift_vars(1, 1)
 
 
-def forest_gen(g: SimpleGraph) -> list[int]:
-    """[t_1, ..., t_n]: spanning-forest counts by number of trees."""
-    require_connected(g)
-    slice_ = whitney(g).y_zero_slice()
-    return [slice_[i] if i < len(slice_) else 0 for i in range(g.n)]
-
-
-def tree_number(g: SimpleGraph) -> int:
-    """Spanning-tree count, read off the Whitney polynomial at (0, 0)."""
-    require_connected(g)
-    return whitney(g).coeff(0, 0)
-
-
 def tree_number_mtt(g: SimpleGraph) -> int:
     """Spanning-tree count by an exact Laplacian-minor determinant."""
     require_connected(g)

@@ -55,6 +55,31 @@ def test_rel_via_tutte_runs_deletion_contraction_once(capsys, monkeypatch):
     assert len(nodes) == one_run  # 157 nodes, where a DC per route made 314
 
 
+def test_rel_refuses_k_and_p_before_deletion_contraction(capsys, monkeypatch):
+    cli_module = importlib.import_module("relpoly.cli")
+    calls = []
+
+    def counting_tutte_dc(g):
+        calls.append(g)
+        return tutte_dc(g)
+
+    monkeypatch.setattr(cli_module, "tutte_dc", counting_tutte_dc)
+    rel = ("rel", "--graph", "fixture:cycle:3")
+    assert run_cli(capsys, *rel, "--k", "1", "--p", "1/2")[0] == 0
+    assert len(calls) == 1  # the spy sees the one deletion-contraction of a valid run
+    for bad in (
+        ("--k", "0", "--p", "1/2"),
+        ("--k", "4", "--p", "1/2"),
+        ("--k", "1", "--p=-1/2"),
+        ("--k", "1", "--p", "3/2"),
+        ("--k", "1", "--p", "0", "--via-tutte"),
+        ("--k", "1", "--p", "1", "--via-tutte"),
+    ):
+        calls.clear()
+        code, _, err = run_cli(capsys, *rel, *bad)
+        assert (code, json.loads(err)["error"], calls) == (2, "usage", []), bad
+
+
 def test_compare_tutte_figure1(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -13,9 +13,7 @@ from relpoly.counts import (
     NTable,
     bernstein_certify,
     lambda_k,
-    mu_lex_compare,
     mu_vector,
-    n_leq,
     ntable_bruteforce,
     ntable_from_whitney,
     rel_eval,
@@ -25,7 +23,6 @@ from relpoly.counts import (
 )
 from relpoly.errors import (
     BudgetError,
-    DimensionMismatchError,
     DisconnectedGraphError,
     ParameterError,
     TableConsistencyError,
@@ -33,7 +30,7 @@ from relpoly.errors import (
 from relpoly.graphs import SimpleGraph, fixture
 from relpoly.poly import BivarPoly
 from relpoly.scan import ClassSpec, enumerate_class
-from relpoly.tutte import forest_gen, whitney
+from relpoly.tutte import whitney
 
 
 def table_of(g, memo=None):
@@ -42,9 +39,9 @@ def table_of(g, memo=None):
 
 def test_k2_table():
     t = table_of(SimpleGraph(2, ((0, 1),)))
-    assert t.count(0, 2) == 1
-    assert t.count(1, 1) == 1
-    assert t.count(0, 1) == 0
+    assert t.rows[0][2] == 1
+    assert t.rows[1][1] == 1
+    assert t.rows[0][1] == 0
 
 
 def test_triangle_table_matches_bruteforce():
@@ -52,20 +49,20 @@ def test_triangle_table_matches_bruteforce():
     t = table_of(g)
     b = ntable_bruteforce(g)
     assert t == b
-    assert t.count(0, 3) == 1
-    assert t.count(1, 2) == 3
-    assert t.count(2, 1) == 3
-    assert t.count(3, 1) == 1
+    assert t.rows[0][3] == 1
+    assert t.rows[1][2] == 3
+    assert t.rows[2][1] == 3
+    assert t.rows[3][1] == 1
 
 
 def test_c4_table_details():
     t = ntable_bruteforce(fixture("cycle", 4))
-    assert t.count(2, 1) == 0  # any 2 edges of C4 leave 2 components
-    assert t.count(2, 2) == 6
-    assert t.count(1, 3) == 4
-    assert t.count(3, 1) == 4
-    assert t.count(4, 1) == 1
-    assert t.count(0, 4) == 1
+    assert t.rows[2][1] == 0  # any 2 edges of C4 leave 2 components
+    assert t.rows[2][2] == 6
+    assert t.rows[1][3] == 4
+    assert t.rows[3][1] == 4
+    assert t.rows[4][1] == 1
+    assert t.rows[0][4] == 1
 
 
 def test_table_routes_agree_exhaustive_small():
@@ -91,18 +88,13 @@ def test_bad_whitney_rejected():
         ntable_from_whitney(w, 3, 3)
 
 
-def test_n_leq():
-    g = fixture("cycle", 3)
-    t = table_of(g)
-    assert n_leq(t, 2, 1) == 3
-    assert n_leq(t, 0, 3) == 1
-    assert n_leq(ntable_bruteforce(fixture("cycle", 4)), 2, 1) == 0
+def test_prefix_sums():
+    t = table_of(fixture("cycle", 3))
+    assert t.prefix[2][1] == 3
+    assert t.prefix[0][3] == 1
+    assert ntable_bruteforce(fixture("cycle", 4)).prefix[2][1] == 0
     for i in range(4):
-        assert n_leq(t, i, 3) == comb(3, i)
-    with pytest.raises(ParameterError):
-        n_leq(t, 4, 1)
-    with pytest.raises(ParameterError):
-        n_leq(t, 0, 0)
+        assert t.prefix[i][3] == comb(3, i)
 
 
 def test_mu_vectors():
@@ -114,14 +106,10 @@ def test_mu_vectors():
         mu = mu_vector(table_of(g))
         assert all(0 <= mu[i] <= comb(g.m, i) for i in range(g.m + 1))
         assert mu[g.m] == 0
-    a = mu_vector(table_of(fixture("cycle", 4)))
-    b = mu_vector(ntable_bruteforce(fixture("cycle", 4)))
-    assert mu_lex_compare(a, b) == 0
-    paw = mu_vector(table_of(SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))))
-    assert mu_lex_compare(a, paw) == -1
-    assert mu_lex_compare(paw, a) == 1
-    with pytest.raises(DimensionMismatchError):
-        mu_lex_compare(a, mu_vector(table_of(fixture("cycle", 3))))
+    c4 = fixture("cycle", 4)
+    assert mu_vector(table_of(c4)) == mu_vector(ntable_bruteforce(c4))
+    paw = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    assert mu_vector(table_of(c4)) < mu_vector(table_of(paw))  # scan's lexicographic order
 
 
 def test_reliability_triangle():
@@ -189,17 +177,27 @@ def test_t_k():
     t3 = table_of(fixture("cycle", 3))
     assert t_k(t3, 2) == 3
     assert t_k(t3, 3) == 1
+    assert t_k(t3, 1) == 3
+    assert t_k(table_of(fixture("cycle", 4)), 1) == 4
     assert t_k(table_of(fixture("cycle", 5)), 1) == 5
+    k2 = table_of(SimpleGraph(2, ((0, 1),)))
+    assert [t_k(k2, 1), t_k(k2, 2)] == [1, 1]
     with pytest.raises(ParameterError):
         t_k(t3, 0)
 
 
 def test_t_k_matches_forest_gen():
+    # the forest generating function is W(x, 0): t_k is the x^(k-1) coefficient
     rng = random.Random(22)
     for _ in range(15):
         g = random_connected(rng, n_max=7, m_max=14)
-        t = table_of(g)
-        assert [t_k(t, k) for k in range(1, g.n + 1)] == forest_gen(g)
+        w = whitney(g)
+        forests = [0] * g.n
+        for a, b, c in w.terms():
+            if b == 0:
+                forests[a] = c
+        t = ntable_from_whitney(w, g.n, g.m)
+        assert [t_k(t, k) for k in range(1, g.n + 1)] == forests
 
 
 def test_bernstein_trivial_cases():

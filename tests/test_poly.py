@@ -89,13 +89,6 @@ def test_coeff_and_nonnegativity():
     assert BivarPoly.zero().is_nonnegative()
 
 
-def test_y_zero_slice():
-    w_triangle = P({(2, 0): 1, (1, 0): 3, (0, 1): 1, (0, 0): 3})
-    assert w_triangle.y_zero_slice() == [3, 3, 1]
-    assert BivarPoly.zero().y_zero_slice() == []
-    assert Y.y_zero_slice() == []
-
-
 def test_mul_monomial_matches_general_product():
     rng = random.Random(4)
     for _ in range(20):

@@ -1,4 +1,4 @@
-"""Tutte/Whitney engines: dual-route equality and specializations."""
+"""Tutte/Whitney engines: dual-route equality and classical evaluations."""
 import importlib
 import itertools
 import random
@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import random_connected, random_connected_graph, random_graph
+from relpoly.counts import ntable_from_whitney, t_k
 from relpoly.errors import BudgetError, DisconnectedGraphError
 from relpoly.graphs import (
     MultiGraph,
@@ -18,8 +19,6 @@ from relpoly.poly import BivarPoly
 from relpoly.scan import ClassSpec, enumerate_class
 from relpoly.tutte import (
     _block_split,
-    forest_gen,
-    tree_number,
     tree_number_mtt,
     tutte_dc,
     tutte_expansion,
@@ -255,17 +254,9 @@ def test_whitney_equals_shifted_tutte():
         assert whitney(g) == tutte_dc(g).shift_vars(1, 1)
 
 
-def test_forest_gen():
-    assert forest_gen(fixture("cycle", 3)) == [3, 3, 1]
-    assert forest_gen(fixture("cycle", 4))[0] == 4
-    assert forest_gen(SimpleGraph(2, ((0, 1),))) == [1, 1]
-    with pytest.raises(DisconnectedGraphError):
-        forest_gen(SimpleGraph(4, ((0, 1),)))
-
-
 def test_tree_numbers():
-    assert tree_number(fixture("cycle", 5)) == 5
-    assert tree_number(fixture("complete", 4)) == 16
+    assert whitney(fixture("cycle", 5)).coeff(0, 0) == 5
+    assert whitney(fixture("complete", 4)).coeff(0, 0) == 16
     assert tree_number_mtt(fixture("complete", 4)) == 16
     assert tree_number_mtt(fixture("complete", 6)) == 6 ** 4
     with pytest.raises(DisconnectedGraphError):
@@ -276,14 +267,15 @@ def test_tree_number_dual_route_random():
     rng = random.Random(17)
     for _ in range(40):
         g = random_connected(rng)
-        assert tree_number(g) == tree_number_mtt(g)
+        assert whitney(g).coeff(0, 0) == tree_number_mtt(g)
 
 
 def test_tree_number_matches_forest_gen_head():
+    # t_1, the head of the forest counts, read off the count table
     rng = random.Random(18)
     for _ in range(10):
         g = random_connected(rng, n_max=6, m_max=12)
-        assert forest_gen(g)[0] == tree_number(g)
+        assert t_k(ntable_from_whitney(whitney(g), g.n, g.m), 1) == tree_number_mtt(g)
 
 
 def test_classical_evaluation_identities():
@@ -307,7 +299,7 @@ def test_classical_evaluation_identities():
 
 def test_petersen_tree_number():
     petersen = parse_graph6("IheA@GUAo")
-    assert tree_number(petersen) == 2000
+    assert whitney(petersen).coeff(0, 0) == 2000
     assert tree_number_mtt(petersen) == 2000
     assert tutte_expansion(petersen).eval_rational(1, 1) == 2000
 
@@ -318,7 +310,7 @@ def test_figure1_regressions():
     t_g = tutte_dc(g, memo)
     assert t_g == tutte_expansion(g)  # 2^18 oracle
     assert t_g.num_terms() == 37  # pinned after the dual-route run above
-    assert tree_number(g) == 9216  # pinned; equals the determinant route
+    assert whitney(g, memo).coeff(0, 0) == 9216  # pinned; equals the determinant route
     assert tree_number_mtt(g) == 9216
 
 
