@@ -26,8 +26,6 @@ print()
 
 dipole = MultiGraph(2, ((0, 1, 3),))
 print("three parallel edges:", tutte_dc(dipole), "(x + y + y^2)")
-loop = MultiGraph(1, ((0, 0, 2),))
-print("two loops:           ", tutte_dc(loop), "(y^2)")
 print()
 
 k4 = fixture("complete", 4)

@@ -1,8 +1,8 @@
 """Graph types, connectivity, canonical labeling, and graph I/O.
 
 Vertices are dense integer labels 0..n-1.  SimpleGraph stores sorted edge
-pairs plus per-vertex adjacency bitmasks; MultiGraph adds multiplicities and
-loops (deletion-contraction produces both even from simple inputs).
+pairs plus per-vertex adjacency bitmasks; MultiGraph stores loopless parallel
+classes, which deletion-contraction makes from simple inputs by contracting.
 """
 from __future__ import annotations
 
@@ -79,7 +79,12 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Multigraph with loops: edge classes (u, v, multiplicity), u <= v."""
+    """Loopless multigraph: edge classes (u, v, multiplicity), u < v, the
+    classes given on one vertex pair merged into one.
+
+    Deletion-contraction contracts a whole parallel class at once, so it
+    never makes a loop.  For a graph G with l loops, T(G) = y^l T(G - loops).
+    """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
@@ -89,11 +94,13 @@ class MultiGraph:
             raise GraphFormatError(f"negative vertex count {self.n}")
         merged: dict[tuple[int, int], int] = {}
         for u, v, mult in self.edges:
+            if u == v:
+                raise GraphFormatError(f"edge ({u}, {v}) is a loop")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphFormatError(f"edge ({u}, {v}) out of range for n={self.n}")
             if mult < 1:
                 raise GraphFormatError(f"multiplicity {mult} < 1 on edge ({u}, {v})")
-            key = (u, v) if u <= v else (v, u)
+            key = (u, v) if u < v else (v, u)
             merged[key] = merged.get(key, 0) + mult
         object.__setattr__(
             self, "edges", tuple((u, v, c) for (u, v), c in sorted(merged.items()))
@@ -103,26 +110,6 @@ class MultiGraph:
     def from_simple(cls, g: SimpleGraph) -> "MultiGraph":
         return cls(g.n, tuple((u, v, 1) for u, v in g.edges))
 
-    @property
-    def m(self) -> int:
-        """Total edge count with multiplicity, loops included."""
-        return sum(c for _, _, c in self.edges)
-
-    def loop_counts(self) -> dict[int, int]:
-        return {u: c for u, v, c in self.edges if u == v}
-
-    def nonloop_edges(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((u, v, c) for u, v, c in self.edges if u != v)
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        adj = [0] * self.n
-        for u, v, _ in self.edges:
-            if u != v:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return tuple(adj)
-
     def relabel(self, perm) -> "MultiGraph":
         """Apply vertex map u -> perm[u]."""
         return MultiGraph(self.n, tuple((perm[u], perm[v], c) for u, v, c in self.edges))
@@ -131,7 +118,7 @@ class MultiGraph:
 Graph = SimpleGraph | MultiGraph
 
 
-def components(g: Graph) -> tuple[int, tuple[int, ...]]:
+def components(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     """Component count and a vertex -> component-id labeling."""
     n = g.n
     if n == 0:
@@ -158,7 +145,7 @@ def components(g: Graph) -> tuple[int, tuple[int, ...]]:
     return kappa, tuple(labels)
 
 
-def require_connected(g: Graph) -> None:
+def require_connected(g: SimpleGraph) -> None:
     """Refuse a graph that is not connected (the empty graph included)."""
     kappa, _ = components(g)
     if kappa != 1:
@@ -381,11 +368,11 @@ def _refine(n, nbrs, cells, touched=None):
             touched = None
 
 
-def _initial_cells(n, nbrs, loops):
-    """Refined partition by loop count and sorted incident edge weights."""
+def _initial_cells(n, nbrs):
+    """Refined partition by sorted incident edge weights."""
     cells: dict[tuple, list[int]] = {}
     for v in range(n):
-        key = (loops.get(v, 0), tuple(sorted([c for _, c in nbrs[v]])))
+        key = tuple(sorted([c for _, c in nbrs[v]]))
         cells.setdefault(key, []).append(v)
     return _refine(n, nbrs, [cells[key] for key in sorted(cells)])
 
@@ -404,7 +391,7 @@ def _orbit(seeds, gens):
     return orbit
 
 
-def _canon_search(n, mult, loops):
+def _canon_search(n, mult):
     """Minimal certificate, one labeling achieving it, and Aut generators.
 
     Returns (cert_bytes, position_to_vertex, generators), each generator a
@@ -434,7 +421,7 @@ def _canon_search(n, mult, loops):
         """Record a leaf; return the depth to backtrack to, or None."""
         nonlocal first, best
         order = [cell[0] for cell in cells]
-        cert = _encode(n, mult, loops, order)
+        cert = _encode(n, mult, order)
         if first is None:
             first = best = (cert, order, path)
             return None
@@ -476,29 +463,26 @@ def _canon_search(n, mult, loops):
                 return back
         return None
 
-    search(_initial_cells(n, nbrs, loops), ())
+    search(_initial_cells(n, nbrs), ())
     return best[0], tuple(best[1]), tuple(gens)
 
 
-def _encode(n, mult, loops, order):
-    """Adjacency encoding under a vertex order: n, the loop counts, then the
-    upper triangle row by row.  One byte per value while every value is
+def _encode(n, mult, order):
+    """Adjacency encoding under a vertex order: n, then the upper triangle
+    of multiplicities row by row.  One byte per value while every value is
     below 256; otherwise a 0 byte, a width byte w, and w-byte big-endian
     values.  The narrow form starts with the byte n, which is 0 only in the
     one-byte certificate of the empty graph, so the forms never collide."""
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
-    loop_row = [0] * n
-    for v, c in loops.items():
-        loop_row[pos[v]] = c
     tri = [0] * (n * (n - 1) // 2)
     for (u, v), c in mult.items():
         pu, pv = pos[u], pos[v]
         if pu > pv:
             pu, pv = pv, pu
         tri[pu * (2 * n - pu - 1) // 2 + pv - pu - 1] = c
-    values = [n] + loop_row + tri
+    values = [n] + tri
     top = max(values)
     if top < 256:
         return bytes(values)
@@ -506,12 +490,10 @@ def _encode(n, mult, loops, order):
     return bytes([0, width]) + b"".join(x.to_bytes(width, "big") for x in values)
 
 
-def _mult_and_loops(g: Graph):
+def _multiplicities(g: Graph) -> dict[tuple[int, int], int]:
     if isinstance(g, SimpleGraph):
-        return {e: 1 for e in g.edges}, {}
-    mult = {(u, v): c for u, v, c in g.edges if u != v}
-    loops = g.loop_counts()
-    return mult, loops
+        return {e: 1 for e in g.edges}
+    return {(u, v): c for u, v, c in g.edges}
 
 
 class CanonicalLabeling(NamedTuple):
@@ -527,8 +509,7 @@ def canonical_labeling(g: Graph) -> CanonicalLabeling:
     """Certificate, canonically labeled copy, generators of the copy's
     automorphism group and the map from g's vertices onto the copy's, all
     from one search of g."""
-    mult, loops = _mult_and_loops(g)
-    cert, order, gens = _canon_search(g.n, mult, loops)
+    cert, order, gens = _canon_search(g.n, _multiplicities(g))
     pos = [0] * g.n
     for p, v in enumerate(order):
         pos[v] = p
@@ -552,18 +533,15 @@ def automorphism_count(g: Graph) -> int:
     n = g.n
     if n == 0:
         return 1
-    mult, loops = _mult_and_loops(g)
+    mult = _multiplicities(g)
     nbrs = _neighbor_lists(n, mult)
-    cells = _initial_cells(n, nbrs, loops)
+    cells = _initial_cells(n, nbrs)
 
     def ok(perm) -> bool:
         for (u, v), c in mult.items():
             pu, pv = perm[u], perm[v]
             key = (pu, pv) if pu < pv else (pv, pu)
             if mult.get(key, 0) != c:
-                return False
-        for v in range(n):
-            if loops.get(v, 0) != loops.get(perm[v], 0):
                 return False
         return True
 

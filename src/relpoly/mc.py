@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counts import ntable_from_whitney, rel_eval, reliability
+from .counts import ntable_from_whitney, rel_eval, reliability, require_k, require_probability
 from .errors import ParameterError
 from .graphs import SimpleGraph
 from .tutte import whitney
@@ -57,12 +57,10 @@ def estimate(g: SimpleGraph, k: int, p, trials: int, seed: int) -> McEstimate:
     the number of vertices joined to no vertex still left.
     """
     p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p = {p} outside [0, 1]")
+    require_probability(p)
     if trials < 1:
         raise ParameterError("need at least one trial")
-    if not 1 <= k <= g.n:
-        raise ParameterError(f"k = {k} outside 1..{g.n}")
+    require_k(k, g.n)
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed = {seed} outside 0..2^64-1")
     # p as a threshold against 53-bit uniforms; representation error < 2^-50

@@ -4,10 +4,10 @@ whitney_expansion reads W off the frontier-DP census of relpoly.graphs, which
 counts all 2^m spanning subgraphs by edges and components, and
 tutte_expansion is W shifted back, T(x, y) = W(x - 1, y - 1); tutte_dc runs
 deletion-contraction on canonical copies, which are also its memo keys, so
-its work depends only on the isomorphism class.  The recursion factors
-over biconnected blocks (a parallel class on no cycle is a block, with
-factor x + y + ... + y^(c-1)) and short-circuits parallel classes and plain
-cycles.
+its work depends only on the isomorphism class.  It contracts a whole
+parallel class at once, so no minor has a loop.  The recursion factors over
+biconnected blocks (a parallel class on no cycle is a block, with factor
+x + y + ... + y^(c-1)) and short-circuits parallel classes and plain cycles.
 The design follows Haggard, Pearce & Royle, "Computing Tutte polynomials"
 (ACM TOMS 2010).
 """
@@ -23,7 +23,7 @@ from .graphs import (
 )
 from .poly import BivarPoly
 
-# core = (n, edges) with edges a sorted tuple of (u, v, mult), u < v, loopless
+# core = (n, edges) of a MultiGraph: a sorted tuple of classes (u, v, mult), u < v
 
 
 def _block_split(n, edges):
@@ -164,9 +164,9 @@ def _dc(n, edges, memo):
 def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     """Tutte polynomial by deletion-contraction with iso-keyed memoization.
 
-    T is the product of the block polynomials of the non-loop classes,
-    times y^loops.  The block split walks every component, so components
-    and isolated vertices need no pass of their own.
+    T is the product of the block polynomials.  The block split walks every
+    component, so components and isolated vertices need no pass of their
+    own.
 
     A memo dict may be shared between calls (scan() and certify_maximum
     share one across a class); each entry maps a block's canonical copy to
@@ -174,9 +174,7 @@ def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     uses a fresh memo.
     """
     mg = MultiGraph.from_simple(g) if isinstance(g, SimpleGraph) else g
-    result = _dc(mg.n, mg.nonloop_edges(), {} if memo is None else memo)
-    loops = sum(mg.loop_counts().values())
-    return result.mul_monomial(0, loops) if loops else result
+    return _dc(mg.n, mg.edges, {} if memo is None else memo)
 
 
 def tutte_expansion(g: SimpleGraph) -> BivarPoly:

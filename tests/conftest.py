@@ -5,12 +5,20 @@ import itertools
 import random
 from math import comb
 
-from relpoly.graphs import SimpleGraph
+from relpoly.graphs import MultiGraph, SimpleGraph
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> SimpleGraph:
     pool = list(itertools.combinations(range(n), 2))
     return SimpleGraph(n, tuple(rng.sample(pool, m)))
+
+
+def random_multigraph(rng: random.Random, n: int, draws: int, mults) -> MultiGraph:
+    """A loopless multigraph on n vertices: draws random vertex pairs, each
+    given a multiplicity from mults (a pair drawn again keeps the last)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    classes = {rng.choice(pairs): rng.choice(mults) for _ in range(draws)} if pairs else {}
+    return MultiGraph(n, tuple((u, v, c) for (u, v), c in classes.items()))
 
 
 def random_connected_graph(rng: random.Random, n: int, m: int) -> SimpleGraph:

@@ -80,6 +80,15 @@ def test_rel_refuses_k_and_p_before_deletion_contraction(capsys, monkeypatch):
         assert (code, json.loads(err)["error"], calls) == (2, "usage", []), bad
 
 
+def test_mc_and_rel_word_a_refusal_alike(capsys):
+    graph = ("--graph", "fixture:cycle:3")
+    for bad in (("--k", "0", "--p", "1/2"), ("--k", "4", "--p", "1/2"), ("--k", "1", "--p", "3/2")):
+        mc = run_cli(capsys, "mc", *graph, *bad, "--trials", "10")
+        rel = run_cli(capsys, "rel", *graph, *bad)
+        assert mc[0] == rel[0] == 2, bad
+        assert json.loads(mc[2]) == json.loads(rel[2]), bad
+
+
 def test_compare_tutte_figure1(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -3,7 +3,8 @@
 relpoly.mc imports the exact pipeline only for cross_check's exact side, and
 its component-count kernel calls nothing from relpoly: an estimate that went
 through the census, deletion-contraction or canonical labeling would share
-their faults instead of catching them.
+their faults instead of catching them.  The k and p range checks it shares
+with rel are input checks, not exact engines, so it may import them too.
 """
 import ast
 from pathlib import Path
@@ -15,6 +16,8 @@ ALLOWED_IMPORTS = {
     ("counts", "ntable_from_whitney"),
     ("counts", "rel_eval"),
     ("counts", "reliability"),
+    ("counts", "require_k"),
+    ("counts", "require_probability"),
     ("errors", "ParameterError"),
     ("graphs", "SimpleGraph"),
     ("tutte", "whitney"),

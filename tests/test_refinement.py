@@ -21,7 +21,7 @@ import relpoly.graphs as graphs_module  # noqa: E402
 from relpoly.graphs import (  # noqa: E402
     MultiGraph,
     SimpleGraph,
-    _mult_and_loops,
+    _multiplicities,
     _neighbor_lists,
     canonical_labeling,
 )
@@ -87,7 +87,7 @@ def refinement_mismatches(g, seed=lambda touched: touched):
     Returns the calls whose cells differ and whether the labeling differs
     from the reference's."""
     real = graphs_module._refine
-    raw = reference_neighbor_lists(g.n, _mult_and_loops(g)[0])
+    raw = reference_neighbor_lists(g.n, _multiplicities(g))
     bad = []
 
     def checked(n, nbrs, cells, touched=None):
@@ -105,12 +105,13 @@ def refinement_mismatches(g, seed=lambda touched: touched):
 
 @st.composite
 def multigraphs(draw):
-    """Multigraphs with loops and multiplicities, some past one byte."""
+    """Loopless multigraphs with multiplicities, some past one byte."""
     n = draw(st.integers(1, 12))
-    vertex = st.integers(0, n - 1)
     mult = st.one_of(st.integers(1, 9), st.just(300))
-    edges = draw(st.lists(st.tuples(vertex, vertex, mult), max_size=3 * n))
-    return MultiGraph(n, tuple(edges))
+    # u and u + step (mod n) with 0 < step < n: two distinct vertices
+    edge = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)), mult)
+    edges = draw(st.lists(edge, max_size=3 * (n - 1)))
+    return MultiGraph(n, tuple((u, (u + step) % n, c) for u, step, c in edges))
 
 
 @st.composite
@@ -163,7 +164,7 @@ def sparse_families(draw):
 @oracle
 @given(multigraphs(), st.data())
 def test_refine_matches_reference_on_any_partition(g, data):
-    mult, _ = _mult_and_loops(g)
+    mult = _multiplicities(g)
     cells = data.draw(ordered_partitions(g.n))
     got = graphs_module._refine(g.n, _neighbor_lists(g.n, mult), cells)
     assert got == reference_refine(g.n, reference_neighbor_lists(g.n, mult), cells)
@@ -178,7 +179,7 @@ def test_every_multiplicity_distinct_matches_reference():
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             mults = rng.sample(range(1, 4 * len(pairs)), len(pairs))
             g = MultiGraph(n, tuple((u, v, c) for (u, v), c in zip(pairs, mults)))
-            mult, _ = _mult_and_loops(g)
+            mult = _multiplicities(g)
             color = [rng.randrange(3) for _ in range(n)]
             cells = [[v for v in range(n) if color[v] == c] for c in sorted(set(color))]
             got = graphs_module._refine(n, _neighbor_lists(n, mult), cells)
