@@ -447,13 +447,26 @@ def _canon_search(n, mult):
             return leaf(cells, path)
         target = cells[at]
         depth = len(path)
-        explored: list[int] = []
+        # the found generators that fix path, and the orbit of the explored
+        # siblings under them; both change only when a deeper search adds a
+        # generator
+        stabilizer: list[tuple[int, ...]] = []
+        known = 0  # gens[:known] have been tested against path
+        orbit: set[int] = set()
         for v in target:
-            if explored:
-                stabilizer = [g for g in gens if all(g[u] == u for u in path)]
-                if v in _orbit(explored, stabilizer):
+            if orbit:
+                if known < len(gens):
+                    fixing = [g for g in gens[known:] if all(g[u] == u for u in path)]
+                    known = len(gens)
+                    if fixing:
+                        stabilizer += fixing
+                        orbit = _orbit(orbit, stabilizer)
+                if v in orbit:
                     continue
-            explored.append(v)
+            if stabilizer:
+                orbit |= _orbit((v,), stabilizer)
+            else:
+                orbit.add(v)
             rest = [u for u in target if u != v]
             branched = cells[:at] + [[v], rest] + cells[at + 1 :]
             # rule 2: the split keeps rest, so v's neighbors are the touched set
@@ -488,6 +501,20 @@ def _encode(n, mult, order):
         return bytes(values)
     width = (top.bit_length() + 7) // 8
     return bytes([0, width]) + b"".join(x.to_bytes(width, "big") for x in values)
+
+
+def _decode(code):
+    """(n, classes) of the multigraph that _encode(n, mult, range(n)) wrote
+    as code: the classes (u, v, mult), u < v, in ascending order."""
+    if len(code) > 1 and code[0] == 0:
+        width = code[1]
+        values = [int.from_bytes(code[i : i + width], "big") for i in range(2, len(code), width)]
+    else:
+        values = code
+    n = values[0]
+    tri = values[1:]
+    pairs = itertools.combinations(range(n), 2)  # the upper triangle, row by row
+    return n, tuple((u, v, c) for (u, v), c in itertools.compress(zip(pairs, tri), tri))
 
 
 def _multiplicities(g: Graph) -> dict[tuple[int, int], int]:

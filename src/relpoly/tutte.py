@@ -3,20 +3,30 @@
 whitney_expansion reads W off the frontier-DP census of relpoly.graphs, which
 counts all 2^m spanning subgraphs by edges and components, and
 tutte_expansion is W shifted back, T(x, y) = W(x - 1, y - 1); tutte_dc runs
-deletion-contraction on canonical copies, which are also its memo keys, so
-its work depends only on the isomorphism class.  It contracts a whole
-parallel class at once, so no minor has a loop.  The recursion factors over
-biconnected blocks (a parallel class on no cycle is a block, with factor
-x + y + ... + y^(c-1)) and short-circuits parallel classes and plain cycles.
-The design follows Haggard, Pearce & Royle, "Computing Tutte polynomials"
-(ACM TOMS 2010).
+deletion-contraction on canonical copies, so its work depends only on the
+isomorphism class.  Its memo maps bytes to polynomials.  A block is looked
+up first by its own encoding, the certificate layout of relpoly.graphs under
+the identity order, which needs no search; only on a miss is it searched
+for its certificate, the encoding of its canonical copy.  Equal bytes always
+name the same labeled multigraph, so one dict holds both kinds of key.
+
+DC contracts a whole parallel class at once, so no minor has a loop.  The
+recursion factors over biconnected blocks (a parallel class on no cycle is a
+block, with factor x + y + ... + y^(c-1)) and short-circuits parallel
+classes and plain cycles.  The design follows Haggard, Pearce & Royle,
+"Computing Tutte polynomials" (ACM TOMS 2010).
 """
 from __future__ import annotations
 
+import sys
+
+from .errors import BudgetError
 from .graphs import (
     MultiGraph,
     SimpleGraph,
-    canonical_relabel,
+    _canon_search,
+    _decode,
+    _encode,
     components,
     edge_subset_census,
     require_connected,
@@ -96,9 +106,9 @@ def _block_split(n, edges):
     return cores
 
 
-def _core_key(n, edges):
-    g = canonical_relabel(MultiGraph(n, edges))
-    return g.n, g.edges
+def _core_key(n, mult):
+    # the certificate: the encoding of the block's canonical copy
+    return _canon_search(n, mult)[0]
 
 
 def _dipole_poly(c):
@@ -125,11 +135,19 @@ def _dc_block(core, memo):
         # a block is 2-connected, so n simple edges on n vertices form a cycle
         return _cycle_poly(n)
 
-    key = _core_key(n, edges)
-    hit = memo.get(key)
+    # a block's own encoding names it exactly, so a block the memo has seen
+    # under these labels needs no search
+    mult = {(u, v): c for u, v, c in edges}
+    own = _encode(n, mult, range(n))
+    hit = memo.get(own)
     if hit is not None:
         return hit
-    n, edges = key
+    cert = _core_key(n, mult)
+    hit = memo.get(cert)
+    if hit is not None:
+        memo[own] = hit
+        return hit
+    n, edges = _decode(cert)
 
     # the first class of maximal multiplicity: on the canonical copy this
     # choice is a function of the isomorphism class
@@ -139,24 +157,30 @@ def _dc_block(core, memo):
     deleted = edges[:best] + ((u, v, c - 1),) * (c > 1) + edges[best + 1 :]
     result = _dc(n, deleted, memo)
 
-    # MultiGraph merges the classes that meet; v is left isolated, and the
+    # v joins u: the classes that meet merge, v is left isolated, and the
     # block split drops it
-    rest = edges[:best] + edges[best + 1 :]
-    contracted = MultiGraph(n, tuple((u if a == v else a, u if b == v else b, cc)
-                                     for a, b, cc in rest))
-    cpoly = _dc(n, contracted.edges, memo)
+    merged: dict[tuple[int, int], int] = {}
+    for a, b, cc in edges[:best] + edges[best + 1 :]:
+        a, b = u if a == v else a, u if b == v else b
+        key = (a, b) if a < b else (b, a)
+        merged[key] = merged.get(key, 0) + cc
+    contracted = tuple((a, b, cc) for (a, b), cc in sorted(merged.items()))
+    cpoly = _dc(n, contracted, memo)
     if c > 1:
         cpoly = cpoly.mul_monomial(0, c - 1)
     result = result + cpoly
 
-    memo[key] = result
+    memo[cert] = memo[own] = result
     return result
 
 
 def _dc(n, edges, memo):
     # a loopless core's polynomial: the product over its blocks
-    result = BivarPoly.one()
-    for block in _block_split(n, edges):
+    blocks = _block_split(n, edges)
+    if not blocks:
+        return BivarPoly.one()
+    result = _dc_block(blocks[0], memo)
+    for block in blocks[1:]:
         result = result * _dc_block(block, memo)
     return result
 
@@ -169,12 +193,22 @@ def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     own.
 
     A memo dict may be shared between calls (scan() and certify_maximum
-    share one across a class); each entry maps a block's canonical copy to
-    its polynomial, so reuse across graphs is safe.  Without one, the call
-    uses a fresh memo.
+    share one across a class); each entry maps the encoding of a labeled
+    block, its own or its canonical copy's, to its polynomial, so reuse
+    across graphs is safe.  Without one, the call uses a fresh memo.
+
+    Recursion deeper than the interpreter allows is refused with
+    BudgetError, naming the largest block and the recursion limit.
     """
     mg = MultiGraph.from_simple(g) if isinstance(g, SimpleGraph) else g
-    return _dc(mg.n, mg.edges, {} if memo is None else memo)
+    try:
+        return _dc(mg.n, mg.edges, {} if memo is None else memo)
+    except RecursionError:
+        n, edges = max(_block_split(mg.n, mg.edges), key=lambda core: len(core[1]))
+        raise BudgetError(
+            f"deletion-contraction of a block with {n} vertices and {len(edges)} edge "
+            f"classes exceeds the recursion limit of {sys.getrecursionlimit()} frames"
+        ) from None
 
 
 def tutte_expansion(g: SimpleGraph) -> BivarPoly:

@@ -1,6 +1,8 @@
 """End-to-end CLI checks: schemas, exit codes, determinism."""
 import importlib
+import inspect
 import json
+import sys
 import time
 
 import pytest
@@ -399,6 +401,32 @@ def test_budget_refusal_exit_code(capsys):
 
     code, _, err = run_cli(capsys, "scan", "--n", "10", "--m", "9")
     assert code == 3
+
+
+def test_deletion_contraction_deeper_than_the_stack_is_a_budget_refusal(capsys, tmp_path):
+    # the wheel W_60 needs about 250 frames of recursion from the top of the
+    # CLI and figure1_G about 40; 150 frames above this test's own depth
+    # refuse the first and answer the second, neither as an internal fault
+    k = 60
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
+    path = tmp_path / "w60.txt"
+    path.write_text(f"{k + 1} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    limit = sys.getrecursionlimit()
+    low = len(inspect.stack(0)) + 150
+    sys.setrecursionlimit(low)
+    try:
+        wheel = run_cli(capsys, "counts", "--graph", str(path))
+        small = run_cli(capsys, "counts", "--graph", "fixture:figure1_G")
+    finally:
+        sys.setrecursionlimit(limit)
+    code, out, err = wheel
+    assert code == 3 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "budget"
+    assert "61 vertices" in payload["message"] and f"limit of {low} frames" in payload["message"]
+    code, out, err = small
+    assert code == 0 and not err
+    assert out == run_cli(capsys, "counts", "--graph", "fixture:figure1_G")[1]
 
 
 def test_counts_on_graph_with_over_255_vertices(capsys, tmp_path):

@@ -24,7 +24,7 @@ from relpoly.graphs import (
     parse_graph6,
     to_graph6,
 )
-from relpoly.graphs import _census_schedule, _encode, _multiplicities
+from relpoly.graphs import _census_schedule, _decode, _encode, _multiplicities
 from relpoly.tutte import tree_number_mtt
 
 
@@ -223,6 +223,22 @@ def test_wide_certificates_are_distinct_from_narrow_ones():
     assert cert[:2] == bytes([0, 2])
     assert canonical_form(long_path.relabel(perm)) == cert
     assert cert != canonical_form(SimpleGraph(260, long_path.edges[1:] + ((0, 2),)))
+
+
+def test_decode_inverts_the_encoding_under_the_identity_order():
+    # deletion-contraction rebuilds a block's canonical copy from its
+    # certificate, so _decode must invert both forms of _encode
+    rng = random.Random(15)
+    graphs = [MultiGraph(2, ((0, 1, 255),)), MultiGraph(2, ((0, 1, 256),)),
+              MultiGraph(1, ()), MultiGraph(4, ())]
+    graphs += [random_multigraph(rng, rng.randint(2, 9), rng.randint(0, 20), (1, 2, 3, 70000))
+               for _ in range(200)]
+    graphs.append(MultiGraph.from_simple(SimpleGraph(260, tuple((i, i + 1) for i in range(259)))))
+    for g in graphs:
+        code = _encode(g.n, _multiplicities(g), range(g.n))
+        assert _decode(code) == (g.n, g.edges)
+        cert = canonical_form(g)
+        assert _decode(cert) == (g.n, canonical_relabel(g).edges)
 
 
 def test_graph6_k2():

@@ -210,6 +210,74 @@ def test_isomorphism_invariance(monkeypatch):
             assert counted(tutte_dc, g.relabel(perm)) == expected
 
 
+def _counted_searches(monkeypatch):
+    """A list that gets one entry per canonical search for a DC memo key."""
+    tutte_module = importlib.import_module("relpoly.tutte")
+    original = tutte_module._core_key
+    searches = []
+
+    def spy(n, mult):
+        searches.append(n)
+        return original(n, mult)
+
+    monkeypatch.setattr(tutte_module, "_core_key", spy)
+    return searches
+
+
+def _wheel(spokes: int) -> SimpleGraph:
+    rim = [(i, (i + 1) % spokes) for i in range(spokes)]
+    return SimpleGraph(spokes + 1, tuple(rim + [(i, spokes) for i in range(spokes)]))
+
+
+def test_memo_keys_are_bytes():
+    # a block's own encoding and its certificate share one dict of bytes
+    memo = {}
+    rng = random.Random(16)
+    graphs = [fixture("figure1_G"), fixture("complete_bipartite", 3, 4), _ladder(6), _wheel(7)]
+    graphs += [random_multigraph(rng, 6, 12, (1, 2, 3)) for _ in range(5)]
+    for g in graphs:
+        tutte_dc(g, memo)
+    assert memo and all(type(key) is bytes for key in memo)
+
+
+def test_relabeled_copy_with_a_shared_memo_needs_one_search(monkeypatch):
+    # each graph is one block: its copy misses under its own labels, finds
+    # the class by certificate, and recurses no further; the copy is then
+    # stored under its own labels, so running it again needs no search
+    searches = _counted_searches(monkeypatch)
+    rng = random.Random(17)
+    for g in (fixture("figure1_G"), fixture("complete", 6), fixture("complete_bipartite", 4, 4),
+              _ladder(12), _wheel(9)):
+        memo = {}
+        expected = tutte_dc(g, memo)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            searches.clear()
+            assert tutte_dc(h, memo) == expected
+            assert len(searches) <= 1
+            assert tutte_dc(h, memo) == tutte_dc(g, memo) == expected
+            assert len(searches) <= 1
+
+
+@pytest.mark.parametrize(
+    "g, bound",
+    [
+        # a memo keyed only by canonical copies searched 195, 615, 128 and 220 times
+        (fixture("complete", 9), 104),
+        (fixture("complete_bipartite", 5, 5), 430),
+        (fixture("figure1_G"), 89),
+        (_ladder(30), 166),
+    ],
+    ids=["K9", "K5,5", "figure1_G", "ladder-2x30"],
+)
+def test_dc_search_counts(monkeypatch, g, bound):
+    searches = _counted_searches(monkeypatch)
+    tutte_dc(g)
+    assert len(searches) <= bound
+
+
 def test_whitney_small_literals():
     assert whitney(fixture("cycle", 3)) == W_TRIANGLE
     assert whitney(SimpleGraph(2, ((0, 1),))) == BivarPoly({(1, 0): 1, (0, 0): 1})
