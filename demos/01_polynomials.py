@@ -8,7 +8,6 @@ factors over biconnected blocks.  They must agree exactly, and the
 classical specializations fall out of the Whitney polynomial.
 """
 from relpoly import (
-    MultiGraph,
     fixture,
     ntable_from_whitney,
     t_k,
@@ -22,10 +21,6 @@ triangle = fixture("cycle", 3)
 print("triangle, by expansion:          ", tutte_expansion(triangle))
 print("triangle, by deletion-contraction:", tutte_dc(triangle))
 print("Whitney polynomial W = T(x+1, y+1):", whitney(triangle))
-print()
-
-dipole = MultiGraph(2, ((0, 1, 3),))
-print("three parallel edges:", tutte_dc(dipole), "(x + y + y^2)")
 print()
 
 k4 = fixture("complete", 4)

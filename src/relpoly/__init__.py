@@ -30,7 +30,6 @@ from .errors import (
     TableConsistencyError,
 )
 from .graphs import (
-    MultiGraph,
     SimpleGraph,
     automorphism_count,
     canonical_form,

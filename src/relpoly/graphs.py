@@ -1,8 +1,9 @@
-"""Graph types, connectivity, canonical labeling, and graph I/O.
+"""The graph type, connectivity, canonical labeling, and graph I/O.
 
 Vertices are dense integer labels 0..n-1.  SimpleGraph stores sorted edge
-pairs plus per-vertex adjacency bitmasks; MultiGraph stores loopless parallel
-classes, which deletion-contraction makes from simple inputs by contracting.
+pairs plus per-vertex adjacency bitmasks.  Canonical labeling works on an
+edge-multiplicity dict, so it also labels the multigraph cores that
+deletion-contraction (relpoly.tutte) makes by contracting.
 """
 from __future__ import annotations
 
@@ -75,47 +76,6 @@ class SimpleGraph:
     def is_connected(self) -> bool:
         kappa, _ = components(self)
         return kappa <= 1
-
-
-@dataclass(frozen=True)
-class MultiGraph:
-    """Loopless multigraph: edge classes (u, v, multiplicity), u < v, the
-    classes given on one vertex pair merged into one.
-
-    Deletion-contraction contracts a whole parallel class at once, so it
-    never makes a loop.  For a graph G with l loops, T(G) = y^l T(G - loops).
-    """
-
-    n: int
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphFormatError(f"negative vertex count {self.n}")
-        merged: dict[tuple[int, int], int] = {}
-        for u, v, mult in self.edges:
-            if u == v:
-                raise GraphFormatError(f"edge ({u}, {v}) is a loop")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphFormatError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if mult < 1:
-                raise GraphFormatError(f"multiplicity {mult} < 1 on edge ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0) + mult
-        object.__setattr__(
-            self, "edges", tuple((u, v, c) for (u, v), c in sorted(merged.items()))
-        )
-
-    @classmethod
-    def from_simple(cls, g: SimpleGraph) -> "MultiGraph":
-        return cls(g.n, tuple((u, v, 1) for u, v in g.edges))
-
-    def relabel(self, perm) -> "MultiGraph":
-        """Apply vertex map u -> perm[u]."""
-        return MultiGraph(self.n, tuple((perm[u], perm[v], c) for u, v, c in self.edges))
-
-
-Graph = SimpleGraph | MultiGraph
 
 
 def components(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
@@ -447,26 +407,13 @@ def _canon_search(n, mult):
             return leaf(cells, path)
         target = cells[at]
         depth = len(path)
-        # the found generators that fix path, and the orbit of the explored
-        # siblings under them; both change only when a deeper search adds a
-        # generator
-        stabilizer: list[tuple[int, ...]] = []
-        known = 0  # gens[:known] have been tested against path
-        orbit: set[int] = set()
+        explored: list[int] = []
         for v in target:
-            if orbit:
-                if known < len(gens):
-                    fixing = [g for g in gens[known:] if all(g[u] == u for u in path)]
-                    known = len(gens)
-                    if fixing:
-                        stabilizer += fixing
-                        orbit = _orbit(orbit, stabilizer)
-                if v in orbit:
+            if explored:
+                stabilizer = [g for g in gens if all(g[u] == u for u in path)]
+                if v in _orbit(explored, stabilizer):
                     continue
-            if stabilizer:
-                orbit |= _orbit((v,), stabilizer)
-            else:
-                orbit.add(v)
+            explored.append(v)
             rest = [u for u in target if u != v]
             branched = cells[:at] + [[v], rest] + cells[at + 1 :]
             # rule 2: the split keeps rest, so v's neighbors are the touched set
@@ -517,22 +464,20 @@ def _decode(code):
     return n, tuple((u, v, c) for (u, v), c in itertools.compress(zip(pairs, tri), tri))
 
 
-def _multiplicities(g: Graph) -> dict[tuple[int, int], int]:
-    if isinstance(g, SimpleGraph):
-        return {e: 1 for e in g.edges}
-    return {(u, v): c for u, v, c in g.edges}
+def _multiplicities(g: SimpleGraph) -> dict[tuple[int, int], int]:
+    return {e: 1 for e in g.edges}
 
 
 class CanonicalLabeling(NamedTuple):
     """Result of one canonical-labeling search of a graph."""
 
     cert: bytes  # equal for two graphs exactly when they are isomorphic
-    graph: Graph  # the graph relabeled into canonical order, of its own type
+    graph: SimpleGraph  # the graph relabeled into canonical order
     generators: tuple[tuple[int, ...], ...]  # generate Aut(graph); vertex -> image
     positions: tuple[int, ...]  # vertex of the input -> its vertex in graph
 
 
-def canonical_labeling(g: Graph) -> CanonicalLabeling:
+def canonical_labeling(g: SimpleGraph) -> CanonicalLabeling:
     """Certificate, canonically labeled copy, generators of the copy's
     automorphism group and the map from g's vertices onto the copy's, all
     from one search of g."""
@@ -545,17 +490,17 @@ def canonical_labeling(g: Graph) -> CanonicalLabeling:
     return CanonicalLabeling(cert, g.relabel(pos), copy_gens, tuple(pos))
 
 
-def canonical_form(g: Graph) -> bytes:
+def canonical_form(g: SimpleGraph) -> bytes:
     """Certificate equal for two graphs exactly when they are isomorphic."""
     return canonical_labeling(g).cert
 
 
-def canonical_relabel(g: Graph) -> Graph:
+def canonical_relabel(g: SimpleGraph) -> SimpleGraph:
     """The canonically labeled copy of g."""
     return canonical_labeling(g).graph
 
 
-def automorphism_count(g: Graph) -> int:
+def automorphism_count(g: SimpleGraph) -> int:
     """Order of the automorphism group, by refinement-constrained search."""
     n = g.n
     if n == 0:

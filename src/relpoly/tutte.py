@@ -22,7 +22,6 @@ import sys
 
 from .errors import BudgetError
 from .graphs import (
-    MultiGraph,
     SimpleGraph,
     _canon_search,
     _decode,
@@ -33,7 +32,10 @@ from .graphs import (
 )
 from .poly import BivarPoly
 
-# core = (n, edges) of a MultiGraph: a sorted tuple of classes (u, v, mult), u < v
+# The one multigraph of the package: a core (n, edges), where edges is a
+# sorted tuple of parallel classes (u, v, mult), u < v, mult >= 1, at most one
+# class per vertex pair and no loop.  A simple graph's core has every mult 1;
+# contraction merges the classes that meet, so DC never leaves this form.
 
 
 def _block_split(n, edges):
@@ -185,7 +187,7 @@ def _dc(n, edges, memo):
     return result
 
 
-def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
+def tutte_dc(g: SimpleGraph, memo=None) -> BivarPoly:
     """Tutte polynomial by deletion-contraction with iso-keyed memoization.
 
     T is the product of the block polynomials.  The block split walks every
@@ -200,11 +202,11 @@ def tutte_dc(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
     Recursion deeper than the interpreter allows is refused with
     BudgetError, naming the largest block and the recursion limit.
     """
-    mg = MultiGraph.from_simple(g) if isinstance(g, SimpleGraph) else g
+    core = tuple((u, v, 1) for u, v in g.edges)
     try:
-        return _dc(mg.n, mg.edges, {} if memo is None else memo)
+        return _dc(g.n, core, {} if memo is None else memo)
     except RecursionError:
-        n, edges = max(_block_split(mg.n, mg.edges), key=lambda core: len(core[1]))
+        n, edges = max(_block_split(g.n, core), key=lambda block: len(block[1]))
         raise BudgetError(
             f"deletion-contraction of a block with {n} vertices and {len(edges)} edge "
             f"classes exceeds the recursion limit of {sys.getrecursionlimit()} frames"
@@ -231,7 +233,7 @@ def whitney_expansion(g: SimpleGraph) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def whitney(g: SimpleGraph | MultiGraph, memo=None) -> BivarPoly:
+def whitney(g: SimpleGraph, memo=None) -> BivarPoly:
     """Whitney polynomial W(x, y) = T(x+1, y+1), via deletion-contraction."""
     return tutte_dc(g, memo=memo).shift_vars(1, 1)
 

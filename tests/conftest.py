@@ -5,7 +5,7 @@ import itertools
 import random
 from math import comb
 
-from relpoly.graphs import MultiGraph, SimpleGraph
+from relpoly.graphs import SimpleGraph
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> SimpleGraph:
@@ -13,12 +13,33 @@ def random_graph(rng: random.Random, n: int, m: int) -> SimpleGraph:
     return SimpleGraph(n, tuple(rng.sample(pool, m)))
 
 
-def random_multigraph(rng: random.Random, n: int, draws: int, mults) -> MultiGraph:
-    """A loopless multigraph on n vertices: draws random vertex pairs, each
-    given a multiplicity from mults (a pair drawn again keeps the last)."""
+def random_multigraph(rng: random.Random, n: int, draws: int, mults):
+    """A loopless multigraph core (n, classes) on n vertices, the form
+    deletion-contraction works on: draws random vertex pairs, each given a
+    multiplicity from mults (a pair drawn again keeps the last), as sorted
+    classes (u, v, mult), u < v."""
     pairs = list(itertools.combinations(range(n), 2))
     classes = {rng.choice(pairs): rng.choice(mults) for _ in range(draws)} if pairs else {}
-    return MultiGraph(n, tuple((u, v, c) for (u, v), c in classes.items()))
+    return n, tuple(sorted((u, v, c) for (u, v), c in classes.items()))
+
+
+def relabel_mult(mult: dict, perm) -> dict:
+    """A multiplicity dict {(u, v): mult}, u < v, under the vertex map
+    u -> perm[u]."""
+    out = {}
+    for (u, v), c in mult.items():
+        a, b = perm[u], perm[v]
+        out[(a, b) if a < b else (b, a)] = c
+    return out
+
+
+def canonical_mult(mult: dict, order) -> dict:
+    """The copy of a multigraph relabeled into a search's canonical order:
+    order lists the vertices by canonical position."""
+    pos = [0] * len(order)
+    for p, v in enumerate(order):
+        pos[v] = p
+    return relabel_mult(mult, pos)
 
 
 def random_connected_graph(rng: random.Random, n: int, m: int) -> SimpleGraph:

@@ -4,9 +4,15 @@ Every demo runs with its default arguments and exits 0.  Every `relpoly ...`
 line of the README's command block parses with the CLI's own parser, and
 every option the README's prose names in backticks, such as `mc --trials`
 or `--expect-maximum`, is an option of that command (of some command, when
-none is named), so a removed option cannot stay documented.
+none is named), so a removed option cannot stay documented.  In the same
+way every Python object the prose names in backticks, a dotted
+`relpoly.tutte` path or an UPPER_CASE or CamelCase identifier such as
+`CENSUS_MAX_WIDTH` or `BudgetError`, must exist in relpoly: a removed class
+or constant cannot stay documented either.
 """
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -52,6 +58,57 @@ def readme_option_mentions() -> list[tuple[str | None, str]]:
     return mentions
 
 
+def prose_python_mentions(text: str) -> list[str]:
+    """The backticked spans of text, outside code blocks, that are a dotted
+    relpoly path or an UPPER_CASE or CamelCase identifier."""
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    return [
+        span
+        for span in re.findall(r"`([^`\n]+)`", prose)
+        if re.fullmatch(r"relpoly(\.\w+)+|[A-Z][A-Z0-9_]+|[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*", span)
+    ]
+
+
+def resolves(path: str) -> bool:
+    """Whether a dotted path names a module or an attribute reached from one."""
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def relpoly_names() -> set[str]:
+    """The attributes of relpoly and of each of its modules, and the values
+    of their string constants (verdicts such as "NotDivisible")."""
+    modules = [relpoly] + [
+        importlib.import_module(f"relpoly.{info.name}") for info in pkgutil.iter_modules(relpoly.__path__)
+    ]
+    names = set()
+    for module in modules:
+        for name, value in vars(module).items():
+            names.add(name)
+            if name.isupper() and isinstance(value, str):
+                names.add(value)
+    return names
+
+
+def stale_python_mentions(text: str) -> list[str]:
+    known = relpoly_names()
+    return [
+        span
+        for span in prose_python_mentions(text)
+        if not (resolves(span) if span.startswith("relpoly.") else span in known)
+    ]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     src = str(Path(relpoly.__file__).resolve().parent.parent)
@@ -80,3 +137,13 @@ def test_readme_prose_names_only_existing_options():
         if opt not in (options[cmd] if cmd else every)
     ]
     assert not unknown, unknown
+
+
+def test_readme_prose_names_only_existing_python_objects():
+    mentions = prose_python_mentions(README)
+    assert {"relpoly.mc.BAND_SIGMAS", "CENSUS_MAX_WIDTH", "ParameterError", "NotDivisible"} <= set(mentions)
+    # negative control: a removed class, constant or attribute is caught
+    assert stale_python_mentions(
+        "`Graph` and `relpoly.graphs.Graph`, `relpoly.tutte` and `FIXTURE_LIMIT`, `NotDivisible`"
+    ) == ["Graph", "relpoly.graphs.Graph", "FIXTURE_LIMIT"]
+    assert not stale_python_mentions(README), stale_python_mentions(README)

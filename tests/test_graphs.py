@@ -5,13 +5,19 @@ from math import comb
 
 import pytest
 
-from conftest import all_labeled_graphs, census_by_subset_walk, random_graph, random_multigraph
+from conftest import (
+    all_labeled_graphs,
+    canonical_mult,
+    census_by_subset_walk,
+    random_graph,
+    random_multigraph,
+    relabel_mult,
+)
 import relpoly.graphs as graphs_module
 from relpoly.errors import BudgetError, GraphFormatError
 from relpoly.graphs import (
     CENSUS_MAX_WIDTH,
     FIXTURE_MAX_VERTICES,
-    MultiGraph,
     SimpleGraph,
     automorphism_count,
     canonical_form,
@@ -24,14 +30,23 @@ from relpoly.graphs import (
     parse_graph6,
     to_graph6,
 )
-from relpoly.graphs import _census_schedule, _decode, _encode, _multiplicities
+from relpoly.graphs import _canon_search, _census_schedule, _decode, _encode, _multiplicities
 from relpoly.tutte import tree_number_mtt
 
 
-def canonical_form_bruteforce(g):
+def canonical_form_bruteforce(n, mult):
     """Minimum encoding over all n! relabelings; test oracle for small n."""
-    mult = _multiplicities(g)
-    return min(_encode(g.n, mult, order) for order in itertools.permutations(range(g.n)))
+    return min(_encode(n, mult, order) for order in itertools.permutations(range(n)))
+
+
+def core_mult(classes):
+    """The multiplicity dict of a core's classes (u, v, mult)."""
+    return {(u, v): c for u, v, c in classes}
+
+
+def as_core(n, mult):
+    """The core (n, sorted classes) of a multiplicity dict."""
+    return n, tuple(sorted((u, v, c) for (u, v), c in mult.items()))
 
 
 def test_components_examples():
@@ -53,20 +68,6 @@ def test_simple_graph_validation():
         SimpleGraph(2, ((0, 5),))
     with pytest.raises(GraphFormatError, match="negative"):
         SimpleGraph(-1, ())
-    with pytest.raises(GraphFormatError, match="multiplicity"):
-        MultiGraph(2, ((0, 1, 0),))
-    with pytest.raises(GraphFormatError, match="negative"):
-        MultiGraph(-1, ())
-    # a loop, alone or among other classes
-    with pytest.raises(GraphFormatError, match=r"\(0, 0\) is a loop"):
-        MultiGraph(1, ((0, 0, 1),))
-    with pytest.raises(GraphFormatError, match=r"\(2, 2\) is a loop"):
-        MultiGraph(3, ((0, 1, 2), (2, 2, 3), (1, 2, 1)))
-
-
-def test_multigraph_merges_parallel_classes():
-    mg = MultiGraph(3, ((0, 1, 1), (1, 0, 2), (2, 1, 1)))
-    assert mg.edges == ((0, 1, 3), (1, 2, 1))
 
 
 def test_canonical_relabel_invariance():
@@ -101,7 +102,7 @@ def test_canonical_form_against_bruteforce_classes():
     by_brute = {}
     for i, g in enumerate(pool):
         by_fast.setdefault(canonical_form(g), set()).add(i)
-        by_brute.setdefault(canonical_form_bruteforce(g), set()).add(i)
+        by_brute.setdefault(canonical_form_bruteforce(g.n, _multiplicities(g)), set()).add(i)
     assert sorted(by_fast.values(), key=sorted) == sorted(by_brute.values(), key=sorted)
 
 
@@ -114,7 +115,7 @@ def test_canonical_partition_exhaustive_n5():
     for bits in range(1 << 10):
         g = SimpleGraph(5, tuple(p for i, p in enumerate(pairs) if bits >> i & 1))
         by_fast.setdefault(canonical_form(g), set()).add(bits)
-        by_brute.setdefault(canonical_form_bruteforce(g), set()).add(bits)
+        by_brute.setdefault(canonical_form_bruteforce(5, _multiplicities(g)), set()).add(bits)
     assert len(by_fast) == 34  # graphs on 5 unlabeled vertices
     assert sorted(by_fast.values(), key=sorted) == sorted(by_brute.values(), key=sorted)
 
@@ -127,9 +128,10 @@ def test_canonical_partition_multigraphs_match_bruteforce():
         pool.append(random_multigraph(rng, n, rng.randint(0, 5), (1, 2, 3)))
     by_fast = {}
     by_brute = {}
-    for i, g in enumerate(pool):
-        by_fast.setdefault(canonical_form(g), set()).add(i)
-        by_brute.setdefault(canonical_form_bruteforce(g), set()).add(i)
+    for i, (n, classes) in enumerate(pool):
+        mult = core_mult(classes)
+        by_fast.setdefault(_canon_search(n, mult)[0], set()).add(i)
+        by_brute.setdefault(canonical_form_bruteforce(n, mult), set()).add(i)
     assert sorted(by_fast.values(), key=sorted) == sorted(by_brute.values(), key=sorted)
 
 
@@ -184,6 +186,21 @@ def test_search_generators_generate_the_automorphism_group():
         for gen in canon.generators:
             assert canon.graph.relabel(gen) == canon.graph
         assert group_order(canon.generators, g.n) == automorphism_count(g), g
+    # deletion-contraction searches multigraph cores: small multiplicities,
+    # and some at or above n * n, which _neighbor_lists ranks
+    cores = [random_multigraph(rng, n, rng.randint(0, 12), (1, 2, 3))
+             for n in (rng.randint(1, 6) for _ in range(150))]
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        cores.append(random_multigraph(rng, n, rng.randint(1, 12), (1, 2, n * n, n * n + 1, 300)))
+    for n, classes in cores:
+        mult = core_mult(classes)
+        _, _, gens = _canon_search(n, mult)
+        # the generators act on the input's vertices
+        for gen in gens:
+            assert relabel_mult(mult, gen) == mult
+        brute = sum(1 for perm in itertools.permutations(range(n)) if relabel_mult(mult, perm) == mult)
+        assert group_order(gens, n) == brute, (n, classes)
 
 
 def test_canonical_form_invariance_with_wide_multiplicities():
@@ -191,28 +208,30 @@ def test_canonical_form_invariance_with_wide_multiplicities():
     by_fast, by_brute = {}, {}
     for i in range(120):
         n = rng.randint(1, 5)
-        g = random_multigraph(rng, n, rng.randint(1, 6), (1, 256, 300, 70000))
-        cert = canonical_form(g)
-        copy = canonical_relabel(g)
-        assert isinstance(copy, MultiGraph)
+        _, classes = random_multigraph(rng, n, rng.randint(1, 6), (1, 256, 300, 70000))
+        mult = core_mult(classes)
+        cert, order, _ = _canon_search(n, mult)
+        copy = canonical_mult(mult, order)
+        assert _decode(cert) == as_core(n, copy)
         # the canonical copy is a fixed point of the labeling
-        again = canonical_labeling(copy)
-        assert (again.cert, again.graph) == (cert, copy)
+        again, again_order, _ = _canon_search(n, copy)
+        assert (again, canonical_mult(copy, again_order)) == (cert, copy)
         for _ in range(5):
             perm = list(range(n))
             rng.shuffle(perm)
-            h = g.relabel(perm)
-            assert canonical_form(h) == cert
-            assert canonical_relabel(h) == copy
+            h = relabel_mult(mult, perm)
+            h_cert, h_order, _ = _canon_search(n, h)
+            assert h_cert == cert
+            assert canonical_mult(h, h_order) == copy
         by_fast.setdefault(cert, set()).add(i)
-        by_brute.setdefault(canonical_form_bruteforce(g), set()).add(i)
+        by_brute.setdefault(canonical_form_bruteforce(n, mult), set()).add(i)
     assert sorted(by_fast.values(), key=sorted) == sorted(by_brute.values(), key=sorted)
 
 
 def test_wide_certificates_are_distinct_from_narrow_ones():
-    narrow = canonical_form(MultiGraph(2, ((0, 1, 255),)))
+    narrow = _canon_search(2, {(0, 1): 255})[0]
     assert narrow == bytes([2, 255])  # n, then the upper triangle, a byte each
-    wide = canonical_form(MultiGraph(2, ((0, 1, 256),)))
+    wide = _canon_search(2, {(0, 1): 256})[0]
     assert wide == bytes([0, 2, 0, 2, 1, 0])  # 0, width, then the values
     assert canonical_form(SimpleGraph(0, ())) == b"\x00"  # the one narrow cert led by 0
     # n >= 256: a path and a relabeled copy
@@ -229,16 +248,17 @@ def test_decode_inverts_the_encoding_under_the_identity_order():
     # deletion-contraction rebuilds a block's canonical copy from its
     # certificate, so _decode must invert both forms of _encode
     rng = random.Random(15)
-    graphs = [MultiGraph(2, ((0, 1, 255),)), MultiGraph(2, ((0, 1, 256),)),
-              MultiGraph(1, ()), MultiGraph(4, ())]
-    graphs += [random_multigraph(rng, rng.randint(2, 9), rng.randint(0, 20), (1, 2, 3, 70000))
-               for _ in range(200)]
-    graphs.append(MultiGraph.from_simple(SimpleGraph(260, tuple((i, i + 1) for i in range(259)))))
-    for g in graphs:
-        code = _encode(g.n, _multiplicities(g), range(g.n))
-        assert _decode(code) == (g.n, g.edges)
-        cert = canonical_form(g)
-        assert _decode(cert) == (g.n, canonical_relabel(g).edges)
+    cores = [(2, ((0, 1, 255),)), (2, ((0, 1, 256),)), (1, ()), (4, ())]
+    cores += [random_multigraph(rng, rng.randint(2, 9), rng.randint(0, 20), (1, 2, 3, 70000))
+              for _ in range(200)]
+    cores.append((260, tuple((i, i + 1, 1) for i in range(259))))
+    for n, classes in cores:
+        mult = core_mult(classes)
+        code = _encode(n, mult, range(n))
+        assert _decode(code) == (n, classes)
+        cert, order, _ = _canon_search(n, mult)
+        copy = canonical_mult(mult, order)
+        assert _decode(cert) == as_core(n, copy)
 
 
 def test_graph6_k2():

@@ -17,13 +17,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import canonical_mult  # noqa: E402
 import relpoly.graphs as graphs_module  # noqa: E402
 from relpoly.graphs import (  # noqa: E402
-    MultiGraph,
     SimpleGraph,
+    _canon_search,
+    _decode,
     _multiplicities,
     _neighbor_lists,
-    canonical_labeling,
 )
 
 # small and deterministic, so the suite stays quick and repeatable
@@ -74,20 +75,27 @@ def refine_replaced(fn):
         yield
 
 
-def labeling_by_reference(g):
-    """canonical_labeling(g) with every refinement done by the reference."""
+def labeled(n, mult):
+    """The certificate, the canonical copy, rebuilt from the certificate and
+    by relabeling mult, and the generators of one search of (n, mult)."""
+    cert, order, gens = _canon_search(n, mult)
+    return cert, _decode(cert), canonical_mult(mult, order), gens
+
+
+def labeling_by_reference(n, mult):
+    """labeled(n, mult) with every refinement done by the reference."""
     with mock.patch.object(graphs_module, "_neighbor_lists", reference_neighbor_lists):
         with refine_replaced(lambda n, nbrs, cells, touched=None: reference_refine(n, nbrs, cells)):
-            return canonical_labeling(g)
+            return labeled(n, mult)
 
 
-def refinement_mismatches(g, seed=lambda touched: touched):
-    """Label g and check each refinement the search asks for against the
-    reference; seed maps the touched set a caller passes to the one used.
-    Returns the calls whose cells differ and whether the labeling differs
-    from the reference's."""
+def refinement_mismatches(n, mult, seed=lambda touched: touched):
+    """Label the multigraph (n, mult) and check each refinement the search
+    asks for against the reference; seed maps the touched set a caller
+    passes to the one used.  Returns the calls whose cells differ and whether
+    the labeling differs from the reference's."""
     real = graphs_module._refine
-    raw = reference_neighbor_lists(g.n, _multiplicities(g))
+    raw = reference_neighbor_lists(n, mult)
     bad = []
 
     def checked(n, nbrs, cells, touched=None):
@@ -99,19 +107,28 @@ def refinement_mismatches(g, seed=lambda touched: touched):
         return got
 
     with refine_replaced(checked):
-        labeling = canonical_labeling(g)
-    return bad, labeling != labeling_by_reference(g)
+        labeling = labeled(n, mult)
+    return bad, labeling != labeling_by_reference(n, mult)
+
+
+def simple(g):
+    """A simple graph as the (n, mult) a search takes."""
+    return g.n, _multiplicities(g)
 
 
 @st.composite
 def multigraphs(draw):
-    """Loopless multigraphs with multiplicities, some past one byte."""
+    """Loopless multigraphs (n, mult) with multiplicities, some past one
+    byte; the classes drawn on one vertex pair add up."""
     n = draw(st.integers(1, 12))
     mult = st.one_of(st.integers(1, 9), st.just(300))
     # u and u + step (mod n) with 0 < step < n: two distinct vertices
     edge = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)), mult)
-    edges = draw(st.lists(edge, max_size=3 * (n - 1)))
-    return MultiGraph(n, tuple((u, (u + step) % n, c) for u, step, c in edges))
+    merged = {}
+    for u, step, c in draw(st.lists(edge, max_size=3 * (n - 1))):
+        key = tuple(sorted((u, (u + step) % n)))
+        merged[key] = merged.get(key, 0) + c
+    return n, dict(sorted(merged.items()))
 
 
 @st.composite
@@ -164,10 +181,10 @@ def sparse_families(draw):
 @oracle
 @given(multigraphs(), st.data())
 def test_refine_matches_reference_on_any_partition(g, data):
-    mult = _multiplicities(g)
-    cells = data.draw(ordered_partitions(g.n))
-    got = graphs_module._refine(g.n, _neighbor_lists(g.n, mult), cells)
-    assert got == reference_refine(g.n, reference_neighbor_lists(g.n, mult), cells)
+    n, mult = g
+    cells = data.draw(ordered_partitions(n))
+    got = graphs_module._refine(n, _neighbor_lists(n, mult), cells)
+    assert got == reference_refine(n, reference_neighbor_lists(n, mult), cells)
 
 
 def test_every_multiplicity_distinct_matches_reference():
@@ -178,25 +195,24 @@ def test_every_multiplicity_distinct_matches_reference():
         for _ in range(20):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             mults = rng.sample(range(1, 4 * len(pairs)), len(pairs))
-            g = MultiGraph(n, tuple((u, v, c) for (u, v), c in zip(pairs, mults)))
-            mult = _multiplicities(g)
+            mult = dict(zip(pairs, mults))
             color = [rng.randrange(3) for _ in range(n)]
             cells = [[v for v in range(n) if color[v] == c] for c in sorted(set(color))]
             got = graphs_module._refine(n, _neighbor_lists(n, mult), cells)
             assert got == reference_refine(n, reference_neighbor_lists(n, mult), cells)
-            assert refinement_mismatches(g) == ([], False)
+            assert refinement_mismatches(n, mult) == ([], False)
 
 
 @oracle
 @given(multigraphs())
 def test_multigraph_branches_and_labels_match_reference(g):
-    assert refinement_mismatches(g) == ([], False)
+    assert refinement_mismatches(*g) == ([], False)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sparse_families())
 def test_sparse_family_branches_and_labels_match_reference(g):
-    assert refinement_mismatches(g) == ([], False)
+    assert refinement_mismatches(*simple(g)) == ([], False)
 
 
 def test_every_sparse_family_size_labels_as_the_reference_does():
@@ -204,7 +220,7 @@ def test_every_sparse_family_size_labels_as_the_reference_does():
     for family, (_, sizes) in FAMILIES.items():
         for size in sizes:
             g = relabeled(family, size, rng)
-            assert canonical_labeling(g) == labeling_by_reference(g), (family, size)
+            assert labeled(*simple(g)) == labeling_by_reference(*simple(g)), (family, size)
 
 
 def test_branch_seeded_with_no_touched_vertex_fails_the_check():
@@ -212,5 +228,6 @@ def test_branch_seeded_with_no_touched_vertex_fails_the_check():
     # (unrefined branches cost a leaf per vertex order, so the graphs are small)
     rng = random.Random(5)
     for family, size in (("ladder", 3), ("wheel", 4), ("prism", 3)):
-        bad, _ = refinement_mismatches(relabeled(family, size, rng), seed=lambda touched: set())
+        bad, _ = refinement_mismatches(*simple(relabeled(family, size, rng)),
+                                       seed=lambda touched: set())
         assert bad, family

@@ -9,7 +9,6 @@ from conftest import random_connected, random_connected_graph, random_graph, ran
 from relpoly.counts import ntable_from_whitney, t_k
 from relpoly.errors import BudgetError, DisconnectedGraphError
 from relpoly.graphs import (
-    MultiGraph,
     SimpleGraph,
     components,
     fixture,
@@ -19,6 +18,7 @@ from relpoly.poly import BivarPoly
 from relpoly.scan import ClassSpec, enumerate_class
 from relpoly.tutte import (
     _block_split,
+    _dc,
     tree_number_mtt,
     tutte_dc,
     tutte_expansion,
@@ -30,21 +30,22 @@ T_TRIANGLE = BivarPoly({(2, 0): 1, (1, 0): 1, (0, 1): 1})
 W_TRIANGLE = BivarPoly({(2, 0): 1, (1, 0): 3, (0, 1): 1, (0, 0): 3})
 
 
-def multigraph_expansion_oracle(mg: MultiGraph) -> BivarPoly:
-    """Literal subgraph expansion over individual edge copies."""
+def multigraph_expansion_oracle(n: int, classes) -> BivarPoly:
+    """Literal subgraph expansion over individual edge copies of the core
+    (n, classes)."""
     instances = []
-    for u, v, c in mg.edges:
+    for u, v, c in classes:
         instances.extend([(u, v)] * c)
-    kappa_g, _ = components(SimpleGraph(mg.n, tuple((u, v) for u, v, _ in mg.edges)))
-    r_g = mg.n - kappa_g
+    kappa_g, _ = components(SimpleGraph(n, tuple((u, v) for u, v, _ in classes)))
+    r_g = n - kappa_g
     total = BivarPoly.zero()
     xm1 = BivarPoly.x() - 1
     ym1 = BivarPoly.y() - 1
     for size in range(len(instances) + 1):
         for subset in itertools.combinations(range(len(instances)), size):
             chosen = {instances[i] for i in subset}
-            kappa, _ = components(SimpleGraph(mg.n, tuple(chosen)))
-            r_h = mg.n - kappa
+            kappa, _ = components(SimpleGraph(n, tuple(chosen)))
+            r_h = n - kappa
             c_h = size - r_h
             total = total + xm1 ** (r_g - r_h) * ym1 ** c_h
     return total
@@ -86,8 +87,8 @@ def test_dc_on_disconnected_graphs():
 
 
 def test_dc_multigraph_base_cases():
-    assert tutte_dc(MultiGraph(2, ((0, 1, 2),))) == BivarPoly({(1, 0): 1, (0, 1): 1})
-    assert tutte_dc(MultiGraph(1, ())) == BivarPoly.one()
+    assert _dc(2, ((0, 1, 2),), {}) == BivarPoly({(1, 0): 1, (0, 1): 1})
+    assert _dc(1, (), {}) == BivarPoly.one()
     assert tutte_dc(SimpleGraph(0, ())) == BivarPoly.one()
 
 
@@ -95,16 +96,16 @@ def test_dc_multigraph_against_expansion_oracle():
     rng = random.Random(12)
     for _ in range(25):
         n = rng.randint(1, 4)
-        mg = random_multigraph(rng, n, rng.randint(0, 4), (1, 2, 3))
-        if sum(c for _, _, c in mg.edges) > 9:
+        n, classes = random_multigraph(rng, n, rng.randint(0, 4), (1, 2, 3))
+        if sum(c for _, _, c in classes) > 9:
             continue
-        assert tutte_dc(mg) == multigraph_expansion_oracle(mg)
+        assert _dc(n, classes, {}) == multigraph_expansion_oracle(n, classes)
 
 
-def _bridged_multigraph(rng: random.Random) -> MultiGraph:
-    """At most 6 vertices: one of them isolated, the rest split in two parts
-    whose only link is a parallel class of multiplicity >= 2.  A part may
-    itself be disconnected."""
+def _bridged_multigraph(rng: random.Random):
+    """A core (n, classes) of at most 6 vertices: one of them isolated, the
+    rest split in two parts whose only link is a parallel class of
+    multiplicity >= 2.  A part may itself be disconnected."""
     n = rng.randint(3, 6)
     verts = list(range(n))
     rng.shuffle(verts)
@@ -119,27 +120,26 @@ def _bridged_multigraph(rng: random.Random) -> MultiGraph:
     ]
     a, b = sorted((rng.choice(parts[0]), rng.choice(parts[1])))
     classes.append((a, b, rng.randint(2, 3)))
-    return MultiGraph(n, tuple(classes))
+    return n, tuple(sorted(classes))
 
 
 def test_dc_bridge_classes_against_expansion_oracle():
     fixed = [
         # two triangles joined only by a double class
-        MultiGraph(6, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1),
-                       (2, 3, 2))),
+        (6, ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2), (3, 4, 1), (3, 5, 1), (4, 5, 1))),
         # a triple class as a whole component, a triangle, an isolated vertex
-        MultiGraph(6, ((0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 3))),
+        (6, ((0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 3))),
         # a path of two double classes: both are bridges, and an isolated vertex
-        MultiGraph(4, ((0, 1, 2), (1, 2, 2))),
+        (4, ((0, 1, 2), (1, 2, 2))),
     ]
     rng = random.Random(22)
     randoms = []
     while len(randoms) < 40:
-        mg = _bridged_multigraph(rng)
-        if sum(c for _, _, c in mg.edges) <= 11:  # keeps the 2^m oracle quick
-            randoms.append(mg)
-    for mg in fixed + randoms:
-        assert tutte_dc(mg) == multigraph_expansion_oracle(mg), mg
+        n, classes = _bridged_multigraph(rng)
+        if sum(c for _, _, c in classes) <= 11:  # keeps the 2^m oracle quick
+            randoms.append((n, classes))
+    for n, classes in fixed + randoms:
+        assert _dc(n, classes, {}) == multigraph_expansion_oracle(n, classes), (n, classes)
 
 
 def test_block_split_keeps_bridge_class_multiplicity():
@@ -233,10 +233,10 @@ def test_memo_keys_are_bytes():
     # a block's own encoding and its certificate share one dict of bytes
     memo = {}
     rng = random.Random(16)
-    graphs = [fixture("figure1_G"), fixture("complete_bipartite", 3, 4), _ladder(6), _wheel(7)]
-    graphs += [random_multigraph(rng, 6, 12, (1, 2, 3)) for _ in range(5)]
-    for g in graphs:
+    for g in (fixture("figure1_G"), fixture("complete_bipartite", 3, 4), _ladder(6), _wheel(7)):
         tutte_dc(g, memo)
+    for _ in range(5):
+        _dc(*random_multigraph(rng, 6, 12, (1, 2, 3)), memo)
     assert memo and all(type(key) is bytes for key in memo)
 
 
@@ -371,7 +371,7 @@ def test_figure1_regressions():
 
 def test_dc_on_multiplicity_300_triangle():
     # spanning trees pick two of the three classes: 300*1 + 1*1 + 1*300
-    t = tutte_dc(MultiGraph(3, ((0, 1, 300), (1, 2, 1), (0, 2, 1))))
+    t = _dc(3, ((0, 1, 300), (0, 2, 1), (1, 2, 1)), {})
     assert t.eval_rational(1, 1) == 601
     assert t.eval_rational(2, 2) == 2**302
 
