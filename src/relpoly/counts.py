@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb
 
 from .errors import ParameterError, TableConsistencyError
@@ -33,15 +34,7 @@ class NTable:
     @cached_property
     def prefix(self) -> tuple[tuple[int, ...], ...]:
         """prefix[i][k] = N_i^(k) = sum_{j<=k} counts[i][j]."""
-        out = []
-        for row in self.rows:
-            acc = [0]
-            total = 0
-            for j in range(1, self.n + 1):
-                total += row[j]
-                acc.append(total)
-            out.append(tuple(acc))
-        return tuple(out)
+        return prefix_sums(self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -49,6 +42,12 @@ class NTable:
             "m": self.m,
             "counts": [[str(row[j]) for j in range(1, self.n + 1)] for row in self.rows],
         }
+
+
+def prefix_sums(rows) -> tuple[tuple[int, ...], ...]:
+    """The prefix table of count-table rows: prefix[i][k] = sum of
+    rows[i][j] over 1 <= j <= k, with prefix[i][0] = 0."""
+    return tuple(tuple(accumulate(row[1:], initial=0)) for row in rows)
 
 
 def require_k(k: int, n: int) -> None:

@@ -129,7 +129,7 @@ def _cycle_poly(length):
     return BivarPoly(terms)
 
 
-def _dc_block(core, memo):
+def _dc_block(core, memo, canonical=False):
     n, edges = core
     if len(edges) == 1:
         return _dipole_poly(edges[0][2])
@@ -137,27 +137,39 @@ def _dc_block(core, memo):
         # a block is 2-connected, so n simple edges on n vertices form a cycle
         return _cycle_poly(n)
 
-    # a block's own encoding names it exactly, so a block the memo has seen
-    # under these labels needs no search
-    mult = {(u, v): c for u, v, c in edges}
-    own = _encode(n, mult, range(n))
-    hit = memo.get(own)
-    if hit is not None:
-        return hit
-    cert = _core_key(n, mult)
-    hit = memo.get(cert)
-    if hit is not None:
-        memo[own] = hit
-        return hit
-    n, edges = _decode(cert)
+    # canonical is the caller's word that the block is its own canonical
+    # copy and that no later lookup of the caller reaches it: it is expanded
+    # with no search and not stored.  A wrong word costs only the
+    # label-independence of the work, not the result.
+    if not canonical:
+        # a block's own encoding names it exactly, so a block the memo has
+        # seen under these labels needs no search
+        mult = {(u, v): c for u, v, c in edges}
+        own = _encode(n, mult, range(n))
+        hit = memo.get(own)
+        if hit is not None:
+            return hit
+        cert = _core_key(n, mult)
+        hit = memo.get(cert)
+        if hit is not None:
+            memo[own] = hit
+            return hit
+        if cert != own:
+            n, edges = _decode(cert)
 
     # the first class of maximal multiplicity: on the canonical copy this
-    # choice is a function of the isomorphism class
+    # choice is a function of the isomorphism class.  The expansion stays in
+    # this frame: a frame per step more would lower the depth DC reaches
+    # under the recursion limit by about a third
     best = max(range(len(edges)), key=lambda i: edges[i][2])
     u, v, c = edges[best]
 
-    deleted = edges[:best] + ((u, v, c - 1),) * (c > 1) + edges[best + 1 :]
-    result = _dc(n, deleted, memo)
+    if c > 1:
+        # fewer parallel edges leave a 2-connected block 2-connected, so the
+        # deletion is still one block on all n vertices
+        result = _dc_block((n, edges[:best] + ((u, v, c - 1),) + edges[best + 1 :]), memo)
+    else:
+        result = _dc(n, edges[:best] + edges[best + 1 :], memo)
 
     # v joins u: the classes that meet merge, v is left isolated, and the
     # block split drops it
@@ -172,22 +184,27 @@ def _dc_block(core, memo):
         cpoly = cpoly.mul_monomial(0, c - 1)
     result = result + cpoly
 
-    memo[cert] = memo[own] = result
+    if not canonical:
+        memo[cert] = memo[own] = result
     return result
 
 
-def _dc(n, edges, memo):
-    # a loopless core's polynomial: the product over its blocks
+def _dc(n, edges, memo, canonical=False):
+    # a loopless core's polynomial: the product over its blocks.  canonical
+    # says the core is its own canonical copy; if the core is one block on
+    # all its vertices, that block is the core and _dc_block is told so
     blocks = _block_split(n, edges)
     if not blocks:
         return BivarPoly.one()
+    if canonical and blocks == [(n, edges)]:
+        return _dc_block(blocks[0], memo, canonical=True)
     result = _dc_block(blocks[0], memo)
     for block in blocks[1:]:
         result = result * _dc_block(block, memo)
     return result
 
 
-def tutte_dc(g: SimpleGraph, memo=None) -> BivarPoly:
+def tutte_dc(g: SimpleGraph, memo=None, *, canonical=False) -> BivarPoly:
     """Tutte polynomial by deletion-contraction with iso-keyed memoization.
 
     T is the product of the block polynomials.  The block split walks every
@@ -199,12 +216,19 @@ def tutte_dc(g: SimpleGraph, memo=None) -> BivarPoly:
     block, its own or its canonical copy's, to its polynomial, so reuse
     across graphs is safe.  Without one, the call uses a fresh memo.
 
+    canonical says that g is its own canonical copy, as enumerate_class
+    returns it.  If g is then one block on all its vertices, its first step
+    runs with no search and its polynomial is not stored: scan() passes it,
+    since no minor in a class scan has as many edges as a member.  The
+    result is exact either way; only the label-independence of the work
+    rests on the word being true.
+
     Recursion deeper than the interpreter allows is refused with
     BudgetError, naming the largest block and the recursion limit.
     """
     core = tuple((u, v, 1) for u, v in g.edges)
     try:
-        return _dc(g.n, core, {} if memo is None else memo)
+        return _dc(g.n, core, {} if memo is None else memo, canonical)
     except RecursionError:
         n, edges = max(_block_split(g.n, core), key=lambda block: len(block[1]))
         raise BudgetError(
@@ -233,9 +257,10 @@ def whitney_expansion(g: SimpleGraph) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def whitney(g: SimpleGraph, memo=None) -> BivarPoly:
-    """Whitney polynomial W(x, y) = T(x+1, y+1), via deletion-contraction."""
-    return tutte_dc(g, memo=memo).shift_vars(1, 1)
+def whitney(g: SimpleGraph, memo=None, *, canonical=False) -> BivarPoly:
+    """Whitney polynomial W(x, y) = T(x+1, y+1), via deletion-contraction;
+    memo and canonical as for tutte_dc."""
+    return tutte_dc(g, memo=memo, canonical=canonical).shift_vars(1, 1)
 
 
 def tree_number_mtt(g: SimpleGraph) -> int:

@@ -12,6 +12,7 @@ from relpoly.cli import main
 from relpoly.errors import BudgetError, EmptyClassError, ParameterError
 from relpoly.graphs import (
     SimpleGraph,
+    _encode,
     automorphism_count,
     canonical_form,
     fixture,
@@ -26,7 +27,7 @@ from relpoly.scan import (
     scan,
     verify_section4,
 )
-from relpoly.tutte import whitney
+from relpoly.tutte import _block_split, whitney
 
 
 def brute_class_certs(n, m):
@@ -183,6 +184,57 @@ def test_each_scan_gets_a_fresh_memo(monkeypatch):
     assert len(memos[0]) > 0  # the first scan filled its memo
     assert sizes[0] == sizes[first] == 0
     assert memos[first] is not memos[0]
+
+
+def _spied_members(monkeypatch):
+    """A list that gets (graph, memo, MemberData) for each member a scan
+    derives."""
+    scan_module = importlib.import_module("relpoly.scan")
+    original = scan_module._member_data
+    seen = []
+
+    def spy(g, memo):
+        data = original(g, memo)
+        seen.append((g, memo, data))
+        return data
+
+    monkeypatch.setattr(scan_module, "_member_data", spy)
+    return seen
+
+
+def test_scan_neither_searches_nor_stores_one_block_members(monkeypatch):
+    # every DC minor has fewer edges than a member, so no lookup of the scan
+    # could reach a member's own entry: a member that is one block, already
+    # its canonical copy, is expanded with no search and not stored
+    tutte_module = importlib.import_module("relpoly.tutte")
+    original_key = tutte_module._core_key
+    searches = []
+
+    def counted_key(n, mult):
+        searches.append(n)
+        return original_key(n, mult)
+
+    monkeypatch.setattr(tutte_module, "_core_key", counted_key)
+    seen = _spied_members(monkeypatch)
+    scan(ClassSpec(8, 18))
+    # one search per one-block member more (3,861) when members are searched
+    assert len(searches) <= 3239
+    memo = seen[0][1]
+    one_block = 0
+    for g, _, _ in seen:
+        core = tuple((u, v, 1) for u, v in g.edges)
+        if _block_split(g.n, core) == [(g.n, core)]:
+            one_block += 1
+            assert _encode(g.n, dict.fromkeys(g.edges, 1), range(g.n)) not in memo
+    assert one_block == 622
+
+
+def test_scan_members_get_the_whitney_of_a_fresh_memo(monkeypatch):
+    seen = _spied_members(monkeypatch)
+    scan(ClassSpec(7, 10))
+    assert len(seen) == 132
+    for g, _, data in seen:
+        assert data.whitney == whitney(g, {})
 
 
 def test_scan_c44_flags():

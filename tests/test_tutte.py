@@ -1,7 +1,9 @@
 """Tutte/Whitney engines: dual-route equality and classical evaluations."""
 import importlib
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -154,6 +156,22 @@ def test_block_split_keeps_bridge_class_multiplicity():
     assert _block_split(3, ()) == []
 
 
+def test_lowering_a_multiplicity_keeps_a_block_whole():
+    # DC hands such a deletion straight to _dc_block, with no block split
+    rng = random.Random(21)
+    blocks = 0
+    for _ in range(400):
+        n, classes = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 14), (1, 2, 3, 5))
+        if _block_split(n, classes) != [(n, classes)]:
+            continue
+        blocks += 1
+        for i, (u, v, c) in enumerate(classes):
+            if c > 1:
+                deleted = classes[:i] + ((u, v, c - 1),) + classes[i + 1 :]
+                assert _block_split(n, deleted) == [(n, deleted)]
+    assert blocks >= 50
+
+
 def _ladder(length: int) -> SimpleGraph:
     rails = [(i, i + 1) for i in range(length - 1)]
     rails += [(length + i, length + i + 1) for i in range(length - 1)]
@@ -276,6 +294,37 @@ def test_dc_search_counts(monkeypatch, g, bound):
     searches = _counted_searches(monkeypatch)
     tutte_dc(g)
     assert len(searches) <= bound
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fixture("figure1_G"), _ladder(8), fixture("complete_bipartite", 4, 4)],
+    ids=["figure1_G", "ladder-2x8", "K4,4"],
+)
+def test_canonical_hint_is_exact_on_any_labels(g):
+    # the hint is false for these relabelings: the work may then depend on
+    # the labels, the result may not
+    rng = random.Random(22)
+    expected = tutte_expansion(g)
+    for _ in range(4):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        assert tutte_dc(h, canonical=True) == tutte_dc(h) == expected
+        assert whitney(h, {}, canonical=True) == whitney(h)
+
+
+def test_dc_depth_per_step_on_the_2x60_ladder():
+    # DC on the 2x60 ladder needs about 132 frames; a frame per step more
+    # would take about 192, and refuse inputs DC answers today
+    g = _ladder(60)
+    expected = tutte_dc(g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        assert tutte_dc(g) == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_whitney_small_literals():
