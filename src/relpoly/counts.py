@@ -4,14 +4,13 @@ connectivity invariants, and Bernstein-subdivision sign certificates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 from .errors import ParameterError, TableConsistencyError
-from .graphs import SimpleGraph, edge_subset_census, require_connected
+from .graphs import SimpleGraph, _Frozen, edge_subset_census, require_connected
 from .poly import BivarPoly
 from .tutte import tutte_dc
 
@@ -22,19 +21,30 @@ UNKNOWN = "Unknown"
 CERTIFY_DEPTH = 30
 
 
-@dataclass(frozen=True)
-class NTable:
+class NTable(_Frozen):
     """counts[i][j] = number of spanning subgraphs with i edges and exactly
-    j components, for i in 0..m and j in 1..n (index 0 of each row unused)."""
+    j components, for i in 0..m and j in 1..n (index 0 of each row unused).
+    prefix[i][k] = N_i^(k) = sum_{j<=k} counts[i][j], built once with the
+    table, since every reader of a table reads it."""
 
-    n: int
-    m: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "m", "rows", "prefix")
 
-    @cached_property
-    def prefix(self) -> tuple[tuple[int, ...], ...]:
-        """prefix[i][k] = N_i^(k) = sum_{j<=k} counts[i][j]."""
-        return prefix_sums(self.rows)
+    def __init__(self, n: int, m: int, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "prefix", prefix_sums(rows))
+
+    def __eq__(self, other):
+        if other.__class__ is not NTable:
+            return NotImplemented
+        return (self.n, self.m, self.rows) == (other.n, other.m, other.rows)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.rows))
+
+    def __repr__(self):
+        return f"NTable(n={self.n!r}, m={self.m!r}, rows={self.rows!r})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,8 +178,7 @@ def t_k(table: NTable, k: int) -> int:
 # Sign certification on [0, 1] by exact de Casteljau subdivision.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertifyOutcome:
+class CertifyOutcome(NamedTuple):
     status: str  # NONNEGATIVE_ON_01 | NEGATIVE_WITNESS | UNKNOWN
     witness: Fraction | None = None
 

@@ -8,8 +8,6 @@ deletion-contraction (relpoly.tutte) makes by contracting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import BudgetError, DisconnectedGraphError, GraphFormatError
@@ -17,42 +15,60 @@ from .errors import BudgetError, DisconnectedGraphError, GraphFormatError
 CENSUS_MAX_WIDTH = 10  # frontier vertices; the DP's states grow like Bell(width)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Labeled simple graph: no loops, no parallel edges."""
+class _Frozen:
+    """Base of relpoly's immutable __slots__ value types: __init__ sets each
+    field once with object.__setattr__, and nothing assigns it again."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphFormatError(f"negative vertex count {self.n}")
-        seen = set()
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class SimpleGraph(_Frozen):
+    """Labeled simple graph: no loops, no parallel edges.  Its edge pairs
+    are stored sorted, so two graphs are equal (and hash alike) exactly
+    when they have the same n and edge set."""
+
+    __slots__ = ("n", "edges", "adjacency")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        if n < 0:
+            raise GraphFormatError(f"negative vertex count {n}")
+        adj = [0] * n  # per-vertex neighbor bitmask, built once with the graph
         norm = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise GraphFormatError(f"edge ({u}, {v}) is a loop")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphFormatError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
             e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if adj[u] >> v & 1:
                 raise GraphFormatError(f"duplicate edge {e}")
-            seen.add(e)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
             norm.append(e)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "adjacency", tuple(adj))
+
+    def __eq__(self, other):
+        if other.__class__ is not SimpleGraph:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmask."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counts import ntable_from_whitney, rel_eval, reliability, require_k, require_probability
 from .errors import ParameterError
@@ -33,13 +33,12 @@ from .tutte import whitney
 BATCH_SIZE = 1 << 14
 # uniforms per draw call: a batch is drawn in row blocks of about this size,
 # which continue one stream, so a dense graph never holds a whole batch's draw
-DRAW_BLOCK = 1 << 20
+DRAW_BLOCK = 1 << 16
 # half-width of the cross-check's acceptance band, in standard errors
 BAND_SIGMAS = 4
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     mean: float
     stderr: float
     trials: int
@@ -139,8 +138,7 @@ def _component_counts(n, edges, threshold, trials, seed):
         batch_index += 1
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     estimate: McEstimate
     exact: Fraction
     diff: float

@@ -6,8 +6,7 @@ turns its divisor (x + y - xy) into (1 - xy).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatchError, ParameterError
 from .graphs import SimpleGraph
@@ -23,8 +22,7 @@ WHITNEY = "whitney"
 TUTTE = "tutte"
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     """Outcome of deciding h <= g in one of the two orders.
 
     quotient is present for Dominates and NegativeQuotient; the witness is
@@ -129,8 +127,7 @@ def tutte_compare(g: SimpleGraph, h: SimpleGraph) -> OrderResult:
     return compare_tutte_polys(whitney(g, memo), whitney(h, memo))
 
 
-@dataclass(frozen=True)
-class MaximumCertificate:
+class MaximumCertificate(NamedTuple):
     """Result of checking one graph against a whole class."""
 
     order: str

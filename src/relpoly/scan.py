@@ -15,11 +15,10 @@ pass over the class for each.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
+from typing import NamedTuple
 
 from .counts import (
     NTable,
@@ -47,21 +46,19 @@ from .tutte import whitney
 ENUM_MAX_VERTICES = 9
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple("ClassSpec", [("n", int), ("m", int)])):
     """The class C(n, m); nonempty exactly when n-1 <= m <= n(n-1)/2."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise EmptyClassError(f"need n >= 1, got {self.n}")
-        if not self.n - 1 <= self.m <= self.n * (self.n - 1) // 2:
+    def __new__(cls, n: int, m: int):
+        if n < 1:
+            raise EmptyClassError(f"need n >= 1, got {n}")
+        if not n - 1 <= m <= n * (n - 1) // 2:
             raise EmptyClassError(
-                f"C({self.n}, {self.m}) is empty: need {self.n - 1} <= m <= "
-                f"{self.n * (self.n - 1) // 2}"
+                f"C({n}, {m}) is empty: need {n - 1} <= m <= {n * (n - 1) // 2}"
             )
+        return super().__new__(cls, n, m)
 
 
 def _pair_orbit(pair: tuple[int, int], gens) -> set[tuple[int, int]]:
@@ -219,8 +216,7 @@ def labeled_connected_count(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MemberData:
+class MemberData(NamedTuple):
     """What a scan keeps of a member.  rows are the member's count table,
     whose ints are W's own coefficients; the prefix sums are rebuilt when
     the flags are decided instead of being kept."""
@@ -249,8 +245,7 @@ def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
     )
 
 
-@dataclass(frozen=True)
-class MemberReport:
+class MemberReport(NamedTuple):
     graph6: str
     strong: bool
     zero_element: bool
@@ -283,8 +278,7 @@ class MemberReport:
         }
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     spec: ClassSpec
     partial: bool
     members: tuple[MemberReport, ...]
@@ -321,6 +315,8 @@ class ClassReport:
 
 
 def _table_digest(table: NTable) -> str:
+    import hashlib  # deferred: only scans digest tables, and OpenSSL is slow to load
+
     blob = json.dumps(table.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -442,8 +438,7 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     )
 
 
-@dataclass(frozen=True)
-class Section4Result:
+class Section4Result(NamedTuple):
     ok: bool
     vacuous: bool
     failures: tuple[str, ...] = ()

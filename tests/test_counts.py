@@ -97,6 +97,17 @@ def test_prefix_sums():
         assert t.prefix[i][3] == comb(3, i)
 
 
+def test_ntable_is_an_immutable_value_with_prefix_built_once():
+    t = table_of(fixture("cycle", 3))
+    assert t.prefix is t.prefix
+    same = NTable(3, 3, tuple(t.rows))
+    assert t == same and hash(t) == hash(same) and t.prefix == same.prefix
+    assert t != NTable(3, 4, t.rows) and t != (3, 3, t.rows)
+    assert repr(t) == f"NTable(n=3, m=3, rows={t.rows!r})"
+    with pytest.raises(AttributeError):
+        t.prefix = ()
+
+
 def test_mu_vectors():
     assert mu_vector(table_of(fixture("cycle", 3))) == (1, 3, 0, 0)
     assert mu_vector(table_of(fixture("path", 3))) == (1, 2, 0)

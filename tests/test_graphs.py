@@ -70,6 +70,39 @@ def test_simple_graph_validation():
         SimpleGraph(-1, ())
 
 
+def test_simple_graph_errors_keep_their_messages():
+    cases = [
+        ((3, ((0, 0),)), "edge (0, 0) is a loop"),
+        ((3, ((0, 1), (1, 0))), "duplicate edge (0, 1)"),
+        ((3, ((2, 1), (0, 2), (1, 2))), "duplicate edge (1, 2)"),
+        ((2, ((0, 5),)), "edge (0, 5) out of range for n=2"),
+        ((2, ((-1, 1),)), "edge (-1, 1) out of range for n=2"),
+        ((-1, ()), "negative vertex count -1"),
+    ]
+    for args, message in cases:
+        with pytest.raises(GraphFormatError) as caught:
+            SimpleGraph(*args)
+        assert str(caught.value) == message
+
+
+def test_simple_graph_is_an_immutable_value():
+    g = SimpleGraph(4, ((2, 3), (1, 0), (2, 1)))
+    same = SimpleGraph(4, [(0, 1), (3, 2), (1, 2)])
+    assert g.edges == ((0, 1), (1, 2), (2, 3)) and g.n == 4 and g.m == 3
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != SimpleGraph(5, g.edges) and g != SimpleGraph(4, g.edges[:2])
+    assert g != (4, g.edges)
+    assert repr(g) == "SimpleGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))"
+    # adjacency is built once: every read returns the same tuple
+    assert g.adjacency is g.adjacency
+    assert g.adjacency == (0b0010, 0b0101, 0b1010, 0b0100)
+    with pytest.raises(AttributeError):
+        g.n = 5
+    with pytest.raises(AttributeError):
+        del g.edges
+    assert g == same
+
+
 def test_canonical_relabel_invariance():
     rng = random.Random(1)
     for _ in range(200):

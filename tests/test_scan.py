@@ -37,6 +37,24 @@ def brute_class_certs(n, m):
     }
 
 
+def test_class_spec_is_a_value_with_its_errors():
+    spec = ClassSpec(8, 18)
+    assert (spec.n, spec.m) == (8, 18)
+    assert spec == ClassSpec(8, 18) and hash(spec) == hash(ClassSpec(8, 18))
+    assert spec != ClassSpec(8, 17)
+    assert repr(spec) == "ClassSpec(n=8, m=18)"
+    with pytest.raises(AttributeError):
+        spec.n = 9
+    for (n, m), message in (
+        ((0, 0), "need n >= 1, got 0"),
+        ((4, 2), "C(4, 2) is empty: need 3 <= m <= 6"),
+        ((4, 7), "C(4, 7) is empty: need 3 <= m <= 6"),
+    ):
+        with pytest.raises(EmptyClassError) as caught:
+            ClassSpec(n, m)
+        assert str(caught.value) == message
+
+
 def test_class_spec_bounds():
     ClassSpec(1, 0)
     ClassSpec(4, 6)
