@@ -51,7 +51,7 @@ from .graphs import (
 )
 from .mc import cross_check, estimate
 from .order import TUTTE, WHITNEY, certify_maximum, tutte_compare, whitney_compare
-from .scan import ClassSpec, enumerate_class, scan
+from .scan import ClassReport, ClassSpec, enumerate_class, scan
 from .tutte import tutte_dc, tutte_expansion, whitney, whitney_expansion
 
 EXIT_OK = 0
@@ -98,7 +98,13 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _dump(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write obj to stdout as one line of compact, key-sorted JSON.  A scan
+    report is written one member at a time, never as one dict tree."""
+    if isinstance(obj, ClassReport):
+        sys.stdout.writelines(obj.json_chunks())
+    else:
+        sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    sys.stdout.write("\n")
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -237,7 +243,7 @@ def _cmd_scan(args) -> int:
             csv.write_text("\n".join(report.to_csv_rows()) + "\n")
         except OSError as exc:
             raise ParameterError(f"cannot write {csv}: {exc.strerror}") from None
-    _dump(report.to_json_dict())
+    _dump(report)
     return EXIT_OK
 
 

@@ -87,24 +87,36 @@ def _check_row_sums(rows, m):
             )
 
 
+def count_rows(w: BivarPoly, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The count-table rows read off Whitney coefficients, N_{i,j} =
+    [x^{j-1} y^{i-n+j}] W (index 0 of each row unused), sharing W's ints.
+
+    Raises TableConsistencyError for a term outside the (n, m) table.
+    """
+    rows = [[0] * (n + 1) for _ in range(m + 1)]
+    for a, row in enumerate(w.rows):
+        j = a + 1
+        for b, c in enumerate(row):
+            if c:
+                i = n - 1 - a + b
+                if not (j <= n and 0 <= i <= m):
+                    raise TableConsistencyError(
+                        f"Whitney term x^{a} y^{b} maps outside the (n={n}, m={m}) table"
+                    )
+                rows[i][j] = c
+    return tuple(map(tuple, rows))
+
+
 def ntable_from_whitney(w: BivarPoly, n: int, m: int) -> NTable:
-    """Count table read off Whitney coefficients: N_{i,j} = [x^{j-1} y^{i-n+j}] W.
+    """Count table read off Whitney coefficients (count_rows).
 
     Raises TableConsistencyError when the row sums do not match binomials,
     which signals that w is not the Whitney polynomial of a connected
     (n, m)-graph.
     """
-    rows = [[0] * (n + 1) for _ in range(m + 1)]
-    for a, b, c in w.terms():
-        j = a + 1
-        i = n - 1 - a + b
-        if not (1 <= j <= n and 0 <= i <= m):
-            raise TableConsistencyError(
-                f"Whitney term x^{a} y^{b} maps outside the (n={n}, m={m}) table"
-            )
-        rows[i][j] = c
+    rows = count_rows(w, n, m)
     _check_row_sums(rows, m)
-    return NTable(n, m, tuple(tuple(r) for r in rows))
+    return NTable(n, m, rows)
 
 
 def ntable_bruteforce(g: SimpleGraph) -> NTable:

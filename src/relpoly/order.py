@@ -6,6 +6,8 @@ turns its divisor (x + y - xy) into (1 - xy).
 """
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatchError, ParameterError
@@ -51,24 +53,26 @@ def divide_one_minus_xy(d: BivarPoly):
 
     Returns (quotient, None) when d = (1 - xy) * quotient, computed per
     diagonal by q_t = sum of d's coefficients up to t; otherwise
-    (None, (a0, b0)) naming a diagonal whose coefficients sum to nonzero.
+    (None, (a0, b0)) naming the first diagonal, by a - b ascending, whose
+    coefficients sum to nonzero; (a0, b0) is where it starts.
     """
-    diagonals: dict[int, dict[int, int]] = {}
-    for a, b, c in d.terms():
-        diagonals.setdefault(a - b, {})[min(a, b)] = c
-    q: dict[tuple[int, int], int] = {}
-    for dd in sorted(diagonals):
-        col = diagonals[dd]
-        a0, b0 = (dd, 0) if dd >= 0 else (0, -dd)
-        tmax = max(col)
-        acc = 0
-        for t in range(tmax + 1):
-            acc += col.get(t, 0)
-            if t < tmax and acc:
-                q[(a0 + t, b0 + t)] = acc
-        if acc != 0:
-            return None, (a0, b0)
-    return BivarPoly(q), None
+    # q_a = d_a + y q_(a-1) row by row: entry b of q_a is the running sum of
+    # d's diagonal a - b up to row a.  d is divisible iff every diagonal sums
+    # to zero, that is iff the running sums reach zero in d's top row
+    quotient: list[list[int]] = []
+    q: list[int] = []
+    for row in d.rows:
+        q = [0, *q] if q else []
+        if len(q) < len(row):
+            q.extend(repeat(0, len(row) - len(q)))
+        q[: len(row)] = map(add, q, row)
+        quotient.append(q)
+    if any(q):
+        # the first diagonal a - b in ascending order that sums to nonzero
+        b = max(i for i, c in enumerate(q) if c)
+        dd = len(quotient) - 1 - b
+        return None, (dd, 0) if dd >= 0 else (0, -dd)
+    return BivarPoly.from_rows(quotient[:-1]), None
 
 
 def _negative_term(p: BivarPoly) -> tuple[int, int]:

@@ -18,10 +18,11 @@ from __future__ import annotations
 import json
 from itertools import chain
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .counts import (
     NTable,
+    count_rows,
     lambda_k,
     mu_vector,
     ntable_from_whitney,
@@ -217,13 +218,12 @@ def labeled_connected_count(n: int, m: int) -> int:
 
 
 class MemberData(NamedTuple):
-    """What a scan keeps of a member.  rows are the member's count table,
-    whose ints are W's own coefficients; the prefix sums are rebuilt when
-    the flags are decided instead of being kept."""
+    """What a scan keeps of a member.  Its count table is not kept: the
+    rows and their prefix sums are rebuilt from W when the flags are
+    decided."""
 
     graph6: str
     whitney: BivarPoly
-    rows: tuple[tuple[int, ...], ...]
     mu: tuple[int, ...]
     t_list: tuple[int, ...]
     lambda_list: tuple[int | None, ...]
@@ -237,7 +237,6 @@ def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
     return MemberData(
         graph6=to_graph6(g),
         whitney=w,
-        rows=table.rows,
         mu=mu_vector(table),
         t_list=tuple(t_k(table, k) for k in range(1, g.n + 1)),
         lambda_list=tuple(lambda_k(table, k) for k in range(1, g.n + 1)),
@@ -285,14 +284,26 @@ class ClassReport(NamedTuple):
     summary: dict
     theorem2_check: bool
 
-    def to_json_dict(self) -> dict:
+    def _head(self) -> dict:
+        # every field of the JSON form but "members"
         return {
             "spec": {"n": self.spec.n, "m": self.spec.m},
             "partial": self.partial,
-            "members": [r.to_json_dict() for r in self.members],
             "summary": self.summary,
             "theorem2_check": self.theorem2_check,
         }
+
+    def to_json_dict(self) -> dict:
+        return {"members": [r.to_json_dict() for r in self.members], **self._head()}
+
+    def json_chunks(self) -> Iterator[str]:
+        """The compact, key-sorted JSON of to_json_dict, in pieces of one
+        member each, so the class is never one dict tree.  "members" comes
+        first among the sorted keys, so the other fields follow the list."""
+        yield '{"members":['
+        for i, r in enumerate(self.members):
+            yield ("," if i else "") + _compact_json(r.to_json_dict())
+        yield "]," + _compact_json(self._head())[1:]
 
     def to_csv_rows(self) -> list[str]:
         rows = ["graph6,strong,zero_element,whitney_max,tutte_max,t_optimal,t1,lambda1"]
@@ -314,11 +325,14 @@ class ClassReport(NamedTuple):
         return rows
 
 
+def _compact_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _table_digest(table: NTable) -> str:
     import hashlib  # deferred: only scans digest tables, and OpenSSL is slow to load
 
-    blob = json.dumps(table.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_compact_json(table.to_json_dict()).encode()).hexdigest()
 
 
 def _maxima_flags(polys, candidates, compare, refuters: dict) -> list[bool]:
@@ -356,7 +370,7 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     limit (smoke mode, at least 1) scans only the first members; the report
     is then partial.  The whole class is still enumerated and canonically
     labeled first, so a limited C(8, 18) scan (limit 40) still takes about
-    two fifths of the time of a full one."""
+    a third of the time of a full one."""
     if limit is not None and limit < 1:
         raise ParameterError(f"scan limit {limit}; need at least 1")
     members = enumerate_class(spec)
@@ -364,24 +378,31 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     if truncated:
         members = members[:limit]
 
-    # one deletion-contraction memo per scan; it and the graphs are dead once
-    # the members are done, so the classification below runs without them
+    # one deletion-contraction memo per scan; it is dead once the members
+    # are done, so the classification below runs without it.  The memo is
+    # largest at the last member, so each graph is dropped once it is done
     memo: dict = {}
-    data = [_member_data(g, memo) for g in members]
+    data = []
+    for i, g in enumerate(members):
+        members[i] = None
+        data.append(_member_data(g, memo))
     del memo, members
 
     count = len(data)
     n, m = spec.n, spec.m
 
     # classwise maxima of N_i^(k) decide strong and per-k domination flags;
-    # each pass rebuilds a member's prefix sums and drops them after
+    # each pass rebuilds a member's prefix sums from W and drops them after
+    def prefix(d: MemberData):
+        return prefix_sums(count_rows(d.whitney, n, m))
+
     maxima = [[0] * (n + 1) for _ in range(m + 1)]
     for d in data:
-        maxima = [list(map(max, top, pref)) for top, pref in zip(maxima, prefix_sums(d.rows))]
+        maxima = [list(map(max, top, pref)) for top, pref in zip(maxima, prefix(d))]
     strong = []
     k_umrg = []
     for d in data:
-        pref = prefix_sums(d.rows)
+        pref = prefix(d)
         per_k = tuple(
             all(pref[i][k] == maxima[i][k] for i in range(m + 1))
             for k in range(1, n + 1)

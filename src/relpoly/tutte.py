@@ -115,18 +115,12 @@ def _core_key(n, mult):
 
 def _dipole_poly(c):
     # c parallel edges on 2 vertices: x + y + y^2 + ... + y^{c-1}
-    terms = {(1, 0): 1}
-    for j in range(1, c):
-        terms[(0, j)] = 1
-    return BivarPoly(terms)
+    return BivarPoly.from_rows(((0,) + (1,) * (c - 1), (1,)))
 
 
 def _cycle_poly(length):
     # plain cycle: y + x + x^2 + ... + x^{length-1}
-    terms = {(0, 1): 1}
-    for i in range(1, length):
-        terms[(i, 0)] = 1
-    return BivarPoly(terms)
+    return BivarPoly.from_rows(((0, 1),) + ((1,),) * (length - 1))
 
 
 def _dc_block(core, memo, canonical=False):
@@ -189,19 +183,31 @@ def _dc_block(core, memo, canonical=False):
     return result
 
 
+# a block of one simple edge, as _block_split renumbers it: its factor is x
+_BRIDGE = (2, ((0, 1, 1),))
+
+
 def _dc(n, edges, memo, canonical=False):
     # a loopless core's polynomial: the product over its blocks.  canonical
     # says the core is its own canonical copy; if the core is one block on
     # all its vertices, that block is the core and _dc_block is told so
     blocks = _block_split(n, edges)
-    if not blocks:
-        return BivarPoly.one()
     if canonical and blocks == [(n, edges)]:
         return _dc_block(blocks[0], memo, canonical=True)
-    result = _dc_block(blocks[0], memo)
-    for block in blocks[1:]:
-        result = result * _dc_block(block, memo)
-    return result
+    # a plain loop: a comprehension would cost a frame per recursion step
+    bridges = 0
+    result = None
+    for block in blocks:
+        if block == _BRIDGE:
+            bridges += 1
+        else:
+            factor = _dc_block(block, memo)
+            result = factor if result is None else result * factor
+    # the bridges, each a factor x, come as one x^k: x^k holds k rows, so a
+    # product per bridge would cost quadratically in k
+    if result is None:
+        return BivarPoly.monomial(bridges, 0)
+    return result.mul_monomial(bridges, 0) if bridges else result
 
 
 def tutte_dc(g: SimpleGraph, memo=None, *, canonical=False) -> BivarPoly:

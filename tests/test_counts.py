@@ -12,6 +12,7 @@ from relpoly.counts import (
     UNKNOWN,
     NTable,
     bernstein_certify,
+    count_rows,
     lambda_k,
     mu_vector,
     ntable_bruteforce,
@@ -80,6 +81,17 @@ def test_table_row_sums():
     t = table_of(g)
     for i in range(t.m + 1):
         assert sum(t.rows[i][1:]) == comb(18, i)
+
+
+def test_count_rows_share_the_whitney_ints():
+    # a scan keeps W and rebuilds the count rows from it; the rows hold W's
+    # own int objects, so a table costs its pointers and no new ints
+    g = fixture("figure1_G")
+    w = whitney(g)
+    rows = count_rows(w, g.n, g.m)
+    assert rows == ntable_from_whitney(w, g.n, g.m).rows
+    for a, b, c in w.terms():
+        assert rows[g.n - 1 - a + b][a + 1] is c
 
 
 def test_bad_whitney_rejected():

@@ -103,6 +103,33 @@ def test_negative_exponents_rejected():
         BivarPoly.monomial(0, -2)
 
 
+def test_non_integer_coefficients_are_refused():
+    # coefficients are exact ints: a fraction or a float is refused, never
+    # truncated
+    with pytest.raises(ValueError):
+        BivarPoly({(0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        BivarPoly({(1, 0): 2.7})
+    with pytest.raises(ValueError):
+        BivarPoly.x().mul_monomial(0, 0, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        BivarPoly.constant(0.5)
+    with pytest.raises(ValueError):
+        BivarPoly.from_rows([[1, Fraction(3, 2)]])
+    with pytest.raises(ValueError):
+        BivarPoly.from_triples([[0, 0, 2.7]])
+    assert BivarPoly({(1, 0): True}) == X  # bool is an int
+
+
+def test_rows_are_trimmed_and_shared_with_from_rows():
+    assert (X**3 + Y - X**3).rows == ((0, 1),)
+    assert BivarPoly.from_rows([[0, 1, 0], [], [0]]).rows == ((0, 1),)
+    assert BivarPoly.from_rows([]) == BivarPoly.zero() == 0
+    p = P({(2, 1): 5, (0, 3): -1})
+    assert BivarPoly.from_rows(p.rows) == p
+    assert p.rows == ((0, 0, 0, -1), (), (0, 5))
+
+
 def test_serialization_round_trip():
     rng = random.Random(5)
     for _ in range(20):

@@ -1,7 +1,11 @@
 """Class enumeration and full-class scans."""
+import contextlib
+import gc
 import hashlib
 import importlib
 import json
+import os
+import tracemalloc
 from collections import Counter
 from math import factorial
 
@@ -378,6 +382,51 @@ def test_scan_report_serialization():
     rows = report.to_csv_rows()
     assert rows[0] == "graph6,strong,zero_element,whitney_max,tutte_max,t_optimal,t1,lambda1"
     assert len(rows) == 3
+
+
+def _dict_tree_json(report) -> str:
+    # the scan's output as one dict tree for the whole class
+    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("m", range(5, 16))
+def test_streamed_scan_output_equals_the_dict_tree(capsys, m):
+    assert main(["scan", "--n", "6", "--m", str(m)]) == 0
+    assert capsys.readouterr().out == _dict_tree_json(scan(ClassSpec(6, m)))
+
+
+def test_streamed_partial_and_csv_scans_equal_the_dict_tree(capsys, tmp_path):
+    assert main(["scan", "--n", "6", "--m", "8", "--limit", "5"]) == 0
+    report = scan(ClassSpec(6, 8), limit=5)
+    assert report.partial and len(report.members) == 5
+    assert capsys.readouterr().out == _dict_tree_json(report)
+    csv = tmp_path / "digest.csv"
+    assert main(["scan", "--n", "6", "--m", "8", "--csv", str(csv)]) == 0
+    report = scan(ClassSpec(6, 8))
+    assert capsys.readouterr().out == _dict_tree_json(report)
+    assert csv.read_text() == "\n".join(report.to_csv_rows()) + "\n"
+
+
+def test_scan_footprint_stays_under_its_bound(monkeypatch):
+    # tracemalloc's peak over a C(8, 14) scan from the CLI, after its
+    # enumeration: the member pass with its DC memo, the classification and
+    # the streamed JSON.  CPython 3.10-3.12 read 6.0-6.4 MB here; with
+    # polynomials in dicts keyed by exponent pairs, a count table kept per
+    # member and the report dumped as one dict tree they read 12.8-13.2 MB
+    scan_module = importlib.import_module("relpoly.scan")
+    members = enumerate_class(ClassSpec(8, 14))
+    # the enumeration runs untraced: its footprint is not what this bounds,
+    # and under tracemalloc it alone would take several seconds
+    monkeypatch.setattr(scan_module, "enumerate_class", lambda spec: list(members))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["scan", "--n", "8", "--m", "14"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20, peak
 
 
 def test_verify_section4_c44():

@@ -327,6 +327,27 @@ def test_dc_depth_per_step_on_the_2x60_ladder():
         sys.setrecursionlimit(limit)
 
 
+def test_bridges_fold_into_one_power_of_x(monkeypatch):
+    # a tree's blocks are all bridges: T = x^(n-1) comes from one move of
+    # the rows, with no _dc_block call and no product per bridge
+    tutte_module = importlib.import_module("relpoly.tutte")
+    calls = []
+    original = tutte_module._dc_block
+
+    def spy(core, memo):
+        calls.append(core)
+        return original(core, memo)
+
+    monkeypatch.setattr(tutte_module, "_dc_block", spy)
+    path = SimpleGraph(400, tuple((i, i + 1) for i in range(399)))
+    assert tutte_dc(path) == BivarPoly.monomial(399, 0)
+    assert calls == []
+    # a triangle with pendant paths: one block and five bridges
+    g = SimpleGraph(8, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (1, 7)))
+    assert tutte_dc(g) == tutte_expansion(g) == BivarPoly({(6, 0): 1, (7, 0): 1, (5, 1): 1})
+    assert len(calls) == 1
+
+
 def test_whitney_small_literals():
     assert whitney(fixture("cycle", 3)) == W_TRIANGLE
     assert whitney(SimpleGraph(2, ((0, 1),))) == BivarPoly({(1, 0): 1, (0, 0): 1})
