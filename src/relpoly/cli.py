@@ -7,7 +7,8 @@ parameter out of range, such as k outside 1..n or p outside [0, 1]),
 (DisconnectedGraphError), 3 budget refusal, 4 "internal": any other
 exception, a fault of the program rather than of the input, such as a
 TableConsistencyError (connectivity is checked first, so a bad count table
-means a wrong polynomial).  All rationals cross the interface as "a/b"
+means a wrong polynomial).  A reader that closes stdout early ends the run
+with exit 0 and no message.  All rationals cross the interface as "a/b"
 strings; errors go to stderr as one JSON line {"error": kind, "message": text}.
 """
 from __future__ import annotations
@@ -312,7 +313,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped early, which is not an error: point
+        # stdout at devnull so that the interpreter's last flush has nowhere
+        # to fail, as the Python docs advise for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ParameterError as exc:  # EmptyClassError included
         _emit_error("usage", str(exc))
         return EXIT_USAGE

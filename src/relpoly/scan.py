@@ -1,32 +1,26 @@
 """Exhaustive scans of the classes C(n, m) of connected simple graphs.
 
-Enumeration produces one canonically labeled representative per isomorphism
-class (via complements when the class is dense); the scan then derives every
-member's Whitney polynomial, count table, and flags, and certifies the
-Whitney/Tutte maxima by polynomial division.
-
-Every member is certified in the Whitney order, so the theorem check
-(strong == Whitney-maximum) tests both directions without using either; the
-Tutte pass certifies only the Whitney maxima, since Tutte domination implies
-Whitney domination.  Each candidate is compared first with the members that
-refuted earlier candidates, and the Tutte pass starts from the refuters of
-the Whitney pass, so a scan makes a few compares per member instead of a
-pass over the class for each.
+Enumeration yields one canonically labeled representative per isomorphism
+class (via complements when the class is dense) as a graph6 string.  A scan
+is one pass over them: each member's Whitney polynomial W is folded into the
+maximal antichains of the Whitney and Tutte orders (decided by division by
+1 - xy) and into running classwise maxima of the N^(k) prefix sums, then
+dropped.  The orders are transitive, so a maximum is the final antichain's
+only polynomial.  Strong members come from the count tables alone, so the
+theorem check (strong == Whitney-maximum) compares two independent readings.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections.abc import Sequence
 from math import comb
 from typing import Iterator, NamedTuple
 
 from .counts import (
     NTable,
-    count_rows,
     lambda_k,
     mu_vector,
     ntable_from_whitney,
-    prefix_sums,
     t_k,
 )
 from .errors import BudgetError, EmptyClassError, ParameterError
@@ -38,9 +32,10 @@ from .graphs import (  # noqa: F401
     canonical_form,
     canonical_labeling,
     canonical_relabel,
+    parse_graph6,
     to_graph6,
 )
-from .order import compare_tutte_polys, compare_whitney_polys
+from .order import EQUAL, compare_tutte_polys, compare_whitney_polys
 from .poly import BivarPoly
 from .tutte import whitney
 
@@ -126,9 +121,30 @@ def _deletes_canonically(labeling: CanonicalLabeling, tied) -> bool:
     return images[0] == canonical or images[0] in _pair_orbit(canonical, labeling.generators)
 
 
+class Members(Sequence):
+    """Graphs kept as graph6 strings and parsed when read; equal to any
+    sequence of the same graphs in the same order."""
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: list[str]):
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Members(self.codes[i])
+        return parse_graph6(self.codes[i])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 def _graphs_with_edges(
     n: int, m: int, complement: bool = False, connected: bool = False
-) -> list[SimpleGraph]:
+) -> Members:
     """One canonical representative per isomorphism class of graphs on n
     labeled vertices with exactly m edges (connected or not), sorted by
     certificate.  With complement, the complements of those graphs instead;
@@ -149,7 +165,7 @@ def _graphs_with_edges(
     At level m only the graph that will be returned is searched: the
     complement when asked for, which has the same automorphisms and whose
     canonical order is as good an invariant order of G."""
-    kept: list[CanonicalLabeling] = []
+    kept: list[tuple[bytes, str]] = []
 
     def grow(parent: CanonicalLabeling, level: int) -> None:
         last = level == m
@@ -166,7 +182,7 @@ def _graphs_with_edges(
             if not _deletes_canonically(labeling, tied):
                 continue
             if last:
-                kept.append(labeling)
+                kept.append((labeling.cert, to_graph6(labeling.graph)))
             else:
                 grow(labeling, level + 1)
 
@@ -174,12 +190,13 @@ def _graphs_with_edges(
     if m == 0:
         # the empty and the complete graph are their own canonical copies
         root = empty.complement() if complement else empty
-        return [root] if not connected or root.is_connected() else []
+        return Members([to_graph6(root)] if not connected or root.is_connected() else [])
     grow(canonical_labeling(empty), 1)
-    return [labeling.graph for labeling in sorted(kept, key=lambda c: c.cert)]
+    kept.sort()  # certificates are distinct, so this is by certificate
+    return Members([code for _, code in kept])
 
 
-def enumerate_class(spec: ClassSpec) -> list[SimpleGraph]:
+def enumerate_class(spec: ClassSpec) -> Members:
     """All members of C(n, m) up to isomorphism, canonically labeled and
     sorted by certificate.  Dense classes are enumerated via complements."""
     if spec.n > ENUM_MAX_VERTICES:
@@ -218,12 +235,12 @@ def labeled_connected_count(n: int, m: int) -> int:
 
 
 class MemberData(NamedTuple):
-    """What a scan keeps of a member.  Its count table is not kept: the
-    rows and their prefix sums are rebuilt from W when the flags are
-    decided."""
+    """What a scan derives of a member; it keeps all but W and the table's
+    prefix sums N_i^(k)."""
 
     graph6: str
     whitney: BivarPoly
+    prefix: tuple[tuple[int, ...], ...]
     mu: tuple[int, ...]
     t_list: tuple[int, ...]
     lambda_list: tuple[int | None, ...]
@@ -237,6 +254,7 @@ def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
     return MemberData(
         graph6=to_graph6(g),
         whitney=w,
+        prefix=table.prefix,
         mu=mu_vector(table),
         t_list=tuple(t_k(table, k) for k in range(1, g.n + 1)),
         lambda_list=tuple(lambda_k(table, k) for k in range(1, g.n + 1)),
@@ -335,33 +353,28 @@ def _table_digest(table: NTable) -> str:
     return hashlib.sha256(_compact_json(table.to_json_dict()).encode()).hexdigest()
 
 
-def _maxima_flags(polys, candidates, compare, refuters: dict) -> list[bool]:
-    """flags[i]: whether compare(polys[i], p).ok() for every p in polys,
-    decided for each i in candidates (False for the others).  scan passes
-    every member in the Whitney order and only the Whitney maxima in the
-    Tutte order.
+def _fold(antichain: list, i: int, w: BivarPoly, compare) -> None:
+    """Fold member i, of polynomial w, into antichain: [polynomial, member
+    indices] entries, oldest first, for the maximal polynomials so far in
+    the order that compare decides.  w joins an equal entry, is dropped
+    below a dominating one, or else is appended and drops every entry it
+    dominates.  Newest first takes fewer compares than oldest first."""
+    kept = []
+    for entry in reversed(antichain):
+        above = compare(entry[0], w)
+        if above.ok():
+            if above.verdict == EQUAL:
+                entry[1].append(i)
+            return
+        if not compare(w, entry[0]).ok():
+            kept.append(entry)
+    antichain[:] = kept[::-1] + [[w, [i]]]
 
-    The members that refuted earlier candidates are tried first, the latest
-    first, then the rest in member order; a candidate that passes counts as
-    the latest, since a maximum refutes every non-maximum of a transitive
-    order.  So one good refuter serves most of the class.  refuters is an
-    insertion-ordered set (a dict of None values), updated in place so that
-    a later pass can start from it.  Each flag is a conjunction, so the order
-    of the compares changes only how many are made."""
-    flags = [False] * len(polys)
-    for i in candidates:
-        # compare(p, p) is Equal, so a candidate skips itself
-        recent = [j for j in reversed(refuters) if j != i]
-        rest = (j for j in range(len(polys)) if j != i and j not in refuters)
-        for j in chain(recent, rest):
-            if not compare(polys[i], polys[j]).ok():
-                break
-        else:
-            flags[i] = True
-            j = i
-        refuters.pop(j, None)
-        refuters[j] = None
-    return flags
+
+def _maximum_flags(antichain: list, count: int) -> list[bool]:
+    """Whether each member has the final antichain's only polynomial."""
+    top = set(antichain[0][1]) if len(antichain) == 1 else ()
+    return [i in top for i in range(count)]
 
 
 def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
@@ -370,59 +383,44 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     limit (smoke mode, at least 1) scans only the first members; the report
     is then partial.  The whole class is still enumerated and canonically
     labeled first, so a limited C(8, 18) scan (limit 40) still takes about
-    a third of the time of a full one."""
+    two fifths of the time of a full one.  Each W is dropped once folded."""
     if limit is not None and limit < 1:
         raise ParameterError(f"scan limit {limit}; need at least 1")
     members = enumerate_class(spec)
     truncated = limit is not None and limit < len(members)
     if truncated:
         members = members[:limit]
+    n, m = spec.n, spec.m
 
-    # one deletion-contraction memo per scan; it is dead once the members
-    # are done, so the classification below runs without it.  The memo is
-    # largest at the last member, so each graph is dropped once it is done
+    # one deletion-contraction memo per scan.  top[k - 1] is the classwise
+    # maximum so far of the N^(k) prefix column, at_top[k - 1] the members
+    # that attain it; a rise clears them
     memo: dict = {}
-    data = []
+    whitney_top, tutte_top, data = [], [], []
+    top = [(0,) * (m + 1)] * n
+    at_top: list[set[int]] = [set() for _ in range(n)]
     for i, g in enumerate(members):
-        members[i] = None
-        data.append(_member_data(g, memo))
+        d = _member_data(g, memo)
+        data.append(d._replace(whitney=None, prefix=None))
+        _fold(whitney_top, i, d.whitney, compare_whitney_polys)
+        _fold(tutte_top, i, d.whitney, compare_tutte_polys)
+        for k, column in enumerate(list(zip(*d.prefix))[1:]):
+            risen = tuple(map(max, top[k], column))
+            if risen != top[k]:
+                top[k], at_top[k] = risen, set()
+            if column == risen:
+                at_top[k].add(i)
     del memo, members
 
     count = len(data)
-    n, m = spec.n, spec.m
-
-    # classwise maxima of N_i^(k) decide strong and per-k domination flags;
-    # each pass rebuilds a member's prefix sums from W and drops them after
-    def prefix(d: MemberData):
-        return prefix_sums(count_rows(d.whitney, n, m))
-
-    maxima = [[0] * (n + 1) for _ in range(m + 1)]
-    for d in data:
-        maxima = [list(map(max, top, pref)) for top, pref in zip(maxima, prefix(d))]
-    strong = []
-    k_umrg = []
-    for d in data:
-        pref = prefix(d)
-        per_k = tuple(
-            all(pref[i][k] == maxima[i][k] for i in range(m + 1))
-            for k in range(1, n + 1)
-        )
-        k_umrg.append(per_k)
-        strong.append(all(per_k))
-
+    k_umrg = [tuple(i in s for s in at_top) for i in range(count)]
+    strong = [all(per_k) for per_k in k_umrg]
     mu_min = min(d.mu for d in data)
     zero = [d.mu == mu_min for d in data]
     t1_max = max(d.t_list[0] for d in data)
     t_opt = [d.t_list[0] == t1_max for d in data]
-
-    polys = [d.whitney for d in data]
-    refuters: dict[int, None] = {}
-    whitney_max = _maxima_flags(polys, range(count), compare_whitney_polys, refuters)
-    # Tutte domination implies Whitney domination: only a Whitney maximum can
-    # be a Tutte maximum, and a Whitney refuter refutes in the Tutte order too
-    tutte_max = _maxima_flags(
-        polys, [i for i in range(count) if whitney_max[i]], compare_tutte_polys, refuters
-    )
+    whitney_max = _maximum_flags(whitney_top, count)
+    tutte_max = _maximum_flags(tutte_top, count)
 
     reports = tuple(
         MemberReport(

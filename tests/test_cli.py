@@ -2,11 +2,15 @@
 import importlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import relpoly
 from relpoly.cli import main
 from relpoly.graphs import fixture, to_graph6
 from relpoly.poly import BivarPoly
@@ -456,3 +460,25 @@ def test_output_is_byte_deterministic(capsys):
     _, scan1, _ = run_cli(capsys, "scan", "--n", "4", "--m", "4")
     _, scan2, _ = run_cli(capsys, "scan", "--n", "4", "--m", "4")
     assert scan1 == scan2
+
+
+def test_scan_into_a_reader_that_closes_early_exits_cleanly():
+    # like `relpoly scan --n 8 --m 18 | head -c 10`: the scan's 336 kB of
+    # JSON overflow the pipe, so the scan is still writing when its reader
+    # closes, and must stop with exit 0 and nothing on stderr
+    src = str(Path(relpoly.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys; from relpoly.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "scan", "--n", "8", "--m", "18"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.read(10) == b'{"members"'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == b""
+    finally:
+        proc.kill()
+        proc.wait()

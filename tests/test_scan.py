@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import tracemalloc
 from collections import Counter
 from math import factorial
@@ -25,7 +26,9 @@ from relpoly.graphs import (
 from relpoly.order import DOMINATES, OrderResult, compare_tutte_polys, compare_whitney_polys
 from relpoly.scan import (
     ClassSpec,
+    _fold,
     _graphs_with_edges,
+    _maximum_flags,
     enumerate_class,
     labeled_connected_count,
     scan,
@@ -308,9 +311,10 @@ def test_theorem2_and_lemma1_small_classes():
 
 
 def test_theorem2_check_certifies_members_that_are_not_strong(monkeypatch):
-    # negative control: a Whitney order that calls every pair Dominates makes
-    # every member Whitney-maximum, and C(5, 6) has members that are not
-    # strong, so the check must fail rather than certify only strong members
+    # negative control: under a Whitney order that calls every pair
+    # Dominates, the first member's entry dominates every later member, so
+    # the antichain keeps the first member alone and flags it; in C(5, 6)
+    # that member is not the strong one, so the check must fail
     scan_module = importlib.import_module("relpoly.scan")
     monkeypatch.setattr(
         scan_module, "compare_whitney_polys", lambda w_g, w_h: OrderResult(DOMINATES)
@@ -318,7 +322,7 @@ def test_theorem2_check_certifies_members_that_are_not_strong(monkeypatch):
     report = scan(ClassSpec(5, 6))
     assert not report.theorem2_check
     assert not all(r.strong for r in report.members)
-    assert all(r.whitney_max for r in report.members)
+    assert [r.whitney_max for r in report.members] == [True] + [False] * 4
 
 
 def test_maxima_flags_match_pairwise_oracle():
@@ -340,9 +344,9 @@ def test_maxima_flags_match_pairwise_oracle():
 def test_full_scan_tries_the_last_refuter_first(monkeypatch):
     # C(7, 10) has one Whitney-maximum member among 132.  Certifying each
     # member with all() in member order made 1,354 Whitney and 1,354 Tutte
-    # compares; with the refuters tried first, and the Tutte pass run on the
-    # Whitney maximum only, it makes 497 and 131.
-    member_order_compares = 1354 + 1354
+    # compares, and trying the refuters of earlier members first made 628;
+    # folding each member into the two antichains, newest entry first,
+    # makes 344
     scan_module = importlib.import_module("relpoly.scan")
     calls = []
     for name in ("compare_whitney_polys", "compare_tutte_polys"):
@@ -355,7 +359,30 @@ def test_full_scan_tries_the_last_refuter_first(monkeypatch):
         monkeypatch.setattr(scan_module, name, spy)
     report = scan(ClassSpec(7, 10))
     assert report.summary["whitney_max"] == 1
-    assert len(calls) < member_order_compares
+    assert len(calls) < 450
+
+
+def test_antichain_flags_do_not_depend_on_the_member_order():
+    # every class with n <= 7, its polynomials folded in member order, in
+    # reverse and in a seeded shuffle: the final antichain groups the same
+    # members, so the same members are flagged
+    rng = random.Random(20260)
+    for n in range(1, 8):
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            memo: dict = {}
+            polys = [whitney(g, memo) for g in enumerate_class(ClassSpec(n, m))]
+            forward = list(range(len(polys)))
+            shuffled = rng.sample(forward, len(forward))
+            for compare in (compare_whitney_polys, compare_tutte_polys):
+                groups, flags = [], []
+                for order in (forward, forward[::-1], shuffled):
+                    antichain = []
+                    for i in order:
+                        _fold(antichain, i, polys[i], compare)
+                    groups.append(sorted(sorted(members) for _, members in antichain))
+                    flags.append(_maximum_flags(antichain, len(polys)))
+                assert groups[0] == groups[1] == groups[2], (n, m, compare.__name__)
+                assert flags[0] == flags[1] == flags[2], (n, m, compare.__name__)
 
 
 def test_scan_limit_smoke_mode():
