@@ -8,7 +8,6 @@ deletion-contraction (relpoly.tutte) makes by contracting.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 from .errors import BudgetError, DisconnectedGraphError, GraphFormatError
 
@@ -368,14 +367,17 @@ def _orbit(seeds, gens):
 
 
 def _canon_search(n, mult):
-    """Minimal certificate, one labeling achieving it, and Aut generators.
+    """Minimal certificate, one labeling achieving it, and Aut generators:
+    the one canonical search, behind canonical_form, canonical_relabel,
+    enumeration and the deletion-contraction memo keys.
 
-    Returns (cert_bytes, position_to_vertex, generators), each generator a
-    tuple mapping vertex v to its image.  The search individualizes each
-    vertex of the first non-singleton cell and refines; every discrete
-    partition reached (a leaf) orders the vertices, and the certificate is
-    the least encoding over all leaves.  Refinement and cell choice use only
-    invariants, so certificates of isomorphic graphs are equal.
+    Returns (cert_bytes, position_to_vertex, generators), the order and
+    each generator (a tuple mapping vertex v to its image) on the input's
+    own vertex labels.  The search individualizes each vertex of the first
+    non-singleton cell and refines; every discrete partition reached (a
+    leaf) orders the vertices, and the certificate is the least encoding
+    over all leaves.  Refinement and cell choice use only invariants, so
+    certificates of isomorphic graphs are equal.
 
     Automorphisms prune the tree (McKay & Piperno, "Practical graph
     isomorphism II", 2014).  A leaf encoding like the first or the best leaf
@@ -484,36 +486,20 @@ def _multiplicities(g: SimpleGraph) -> dict[tuple[int, int], int]:
     return {e: 1 for e in g.edges}
 
 
-class CanonicalLabeling(NamedTuple):
-    """Result of one canonical-labeling search of a graph."""
-
-    cert: bytes  # equal for two graphs exactly when they are isomorphic
-    graph: SimpleGraph  # the graph relabeled into canonical order
-    generators: tuple[tuple[int, ...], ...]  # generate Aut(graph); vertex -> image
-    positions: tuple[int, ...]  # vertex of the input -> its vertex in graph
-
-
-def canonical_labeling(g: SimpleGraph) -> CanonicalLabeling:
-    """Certificate, canonically labeled copy, generators of the copy's
-    automorphism group and the map from g's vertices onto the copy's, all
-    from one search of g."""
-    cert, order, gens = _canon_search(g.n, _multiplicities(g))
-    pos = [0] * g.n
-    for p, v in enumerate(order):
-        pos[v] = p
-    # gen maps v to gen[v] on g, so it maps p to pos[gen[order[p]]] on the copy
-    copy_gens = tuple(tuple(pos[gen[v]] for v in order) for gen in gens)
-    return CanonicalLabeling(cert, g.relabel(pos), copy_gens, tuple(pos))
-
-
 def canonical_form(g: SimpleGraph) -> bytes:
     """Certificate equal for two graphs exactly when they are isomorphic."""
-    return canonical_labeling(g).cert
+    return _canon_search(g.n, _multiplicities(g))[0]
 
 
 def canonical_relabel(g: SimpleGraph) -> SimpleGraph:
     """The canonically labeled copy of g."""
-    return canonical_labeling(g).graph
+    return _in_order(g, _canon_search(g.n, _multiplicities(g))[1])
+
+
+def _in_order(g: SimpleGraph, order) -> SimpleGraph:
+    """The copy of g whose vertex p is order[p]: g relabeled by the
+    order's inverse."""
+    return g.relabel(sorted(range(g.n), key=order.__getitem__))
 
 
 def automorphism_count(g: SimpleGraph) -> int:

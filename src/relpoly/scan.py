@@ -27,10 +27,11 @@ from .errors import BudgetError, EmptyClassError, ParameterError
 # canonical_form and canonical_relabel are unused here but stay importable
 # from this module because perfbench/tracer.py wraps them here
 from .graphs import (  # noqa: F401
-    CanonicalLabeling,
     SimpleGraph,
+    _canon_search,
+    _in_order,
+    _multiplicities,
     canonical_form,
-    canonical_labeling,
     canonical_relabel,
     parse_graph6,
     to_graph6,
@@ -111,14 +112,14 @@ def _edges_tied_with(g: SimpleGraph, u: int, v: int):
     return tied
 
 
-def _deletes_canonically(labeling: CanonicalLabeling, tied) -> bool:
+def _deletes_canonically(order, gens, tied) -> bool:
     """Whether tied[0] is in the automorphism orbit of the canonical
     deletable edge: of the tied edges, the one whose endpoints come latest
-    in the canonical order of labeling."""
-    pos = labeling.positions
-    images = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in tied]
-    canonical = max(images, key=lambda pair: (pair[1], pair[0]))
-    return images[0] == canonical or images[0] in _pair_orbit(canonical, labeling.generators)
+    in the canonical order.  The order, the generators and the edges are
+    all on the searched graph's own labels."""
+    pos = {v: p for p, v in enumerate(order)}
+    canonical = max(tied, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
+    return tied[0] == canonical or tied[0] in _pair_orbit(canonical, gens)
 
 
 class Members(Sequence):
@@ -160,38 +161,40 @@ def _graphs_with_edges(
     largest invariant (_edges_tied_with), so a child with an edge that beats
     e is dropped before any search; ties go to the edge whose endpoints come
     latest in G's canonical order.  One search of a surviving child gives
-    that order, its canonical copy and the generators used one level down.
+    that order and the generators used one level down, both on the labels
+    the child was built in: the choice depends only on G's class, not on
+    its labels, so no child is relabeled until it is kept.
 
     At level m only the graph that will be returned is searched: the
     complement when asked for, which has the same automorphisms and whose
     canonical order is as good an invariant order of G."""
     kept: list[tuple[bytes, str]] = []
 
-    def grow(parent: CanonicalLabeling, level: int) -> None:
+    def grow(parent: SimpleGraph, parent_gens, level: int) -> None:
         last = level == m
-        for u, v in _nonedge_orbit_reps(parent.graph, parent.generators):
-            tied = _edges_tied_with(parent.graph, u, v)
+        for u, v in _nonedge_orbit_reps(parent, parent_gens):
+            tied = _edges_tied_with(parent, u, v)
             if tied is None:
                 continue
-            child = parent.graph.with_edge(u, v)
+            child = parent.with_edge(u, v)
             if last:
                 child = child.complement() if complement else child
                 if connected and not child.is_connected():
                     continue
-            labeling = canonical_labeling(child)
-            if not _deletes_canonically(labeling, tied):
+            cert, order, gens = _canon_search(n, _multiplicities(child))
+            if not _deletes_canonically(order, gens, tied):
                 continue
             if last:
-                kept.append((labeling.cert, to_graph6(labeling.graph)))
+                kept.append((cert, to_graph6(_in_order(child, order))))
             else:
-                grow(labeling, level + 1)
+                grow(child, gens, level + 1)
 
     empty = SimpleGraph(n, ())
     if m == 0:
         # the empty and the complete graph are their own canonical copies
         root = empty.complement() if complement else empty
         return Members([to_graph6(root)] if not connected or root.is_connected() else [])
-    grow(canonical_labeling(empty), 1)
+    grow(empty, _canon_search(n, {})[2], 1)
     kept.sort()  # certificates are distinct, so this is by certificate
     return Members([code for _, code in kept])
 
@@ -235,31 +238,31 @@ def labeled_connected_count(n: int, m: int) -> int:
 
 
 class MemberData(NamedTuple):
-    """What a scan derives of a member; it keeps all but W and the table's
-    prefix sums N_i^(k)."""
+    """What a scan keeps of a member for its report."""
 
     graph6: str
-    whitney: BivarPoly
-    prefix: tuple[tuple[int, ...], ...]
     mu: tuple[int, ...]
     t_list: tuple[int, ...]
     lambda_list: tuple[int | None, ...]
     table_digest: str
 
 
-def _member_data(g: SimpleGraph, memo: dict) -> MemberData:
+def _member_data(code: str, memo: dict) -> tuple[BivarPoly, tuple, MemberData]:
+    """(W, the count table's prefix sums N_i^(k), MemberData) of the member
+    with graph6 string code; the scan folds the first two and keeps the
+    third."""
+    g = parse_graph6(code)
     # a member is its own canonical copy, as enumerate_class returns it
     w = whitney(g, memo=memo, canonical=True)
     table = ntable_from_whitney(w, g.n, g.m)
-    return MemberData(
-        graph6=to_graph6(g),
-        whitney=w,
-        prefix=table.prefix,
+    data = MemberData(
+        graph6=code,
         mu=mu_vector(table),
         t_list=tuple(t_k(table, k) for k in range(1, g.n + 1)),
         lambda_list=tuple(lambda_k(table, k) for k in range(1, g.n + 1)),
         table_digest=_table_digest(table),
     )
+    return w, table.prefix, data
 
 
 class MemberReport(NamedTuple):
@@ -399,12 +402,12 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     whitney_top, tutte_top, data = [], [], []
     top = [(0,) * (m + 1)] * n
     at_top: list[set[int]] = [set() for _ in range(n)]
-    for i, g in enumerate(members):
-        d = _member_data(g, memo)
-        data.append(d._replace(whitney=None, prefix=None))
-        _fold(whitney_top, i, d.whitney, compare_whitney_polys)
-        _fold(tutte_top, i, d.whitney, compare_tutte_polys)
-        for k, column in enumerate(list(zip(*d.prefix))[1:]):
+    for i, code in enumerate(members.codes):
+        w, prefix, d = _member_data(code, memo)
+        data.append(d)
+        _fold(whitney_top, i, w, compare_whitney_polys)
+        _fold(tutte_top, i, w, compare_tutte_polys)
+        for k, column in enumerate(list(zip(*prefix))[1:]):
             risen = tuple(map(max, top[k], column))
             if risen != top[k]:
                 top[k], at_top[k] = risen, set()

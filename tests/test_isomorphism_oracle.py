@@ -1,6 +1,6 @@
 """Canonical certificates against networkx's VF2 isomorphism test.
 
-VF2 shares no code with the refinement and search behind canonical_labeling,
+VF2 shares no code with the refinement and search behind canonical_form,
 and it reaches past the n <= 8 brute-force canonical form: random graphs up
 to 16 vertices, a strongly regular pair that refinement alone cannot tell
 apart, and vertex-transitive graphs with large automorphism groups.

@@ -196,10 +196,10 @@ def test_each_scan_gets_a_fresh_memo(monkeypatch):
     original = scan_module._member_data
     memos, sizes = [], []
 
-    def spy(g, memo):
+    def spy(code, memo):
         memos.append(memo)
         sizes.append(len(memo))
-        return original(g, memo)
+        return original(code, memo)
 
     monkeypatch.setattr(scan_module, "_member_data", spy)
     scan(ClassSpec(5, 6))
@@ -212,16 +212,16 @@ def test_each_scan_gets_a_fresh_memo(monkeypatch):
 
 
 def _spied_members(monkeypatch):
-    """A list that gets (graph, memo, MemberData) for each member a scan
-    derives."""
+    """A list that gets (graph, memo, W) for each member a scan derives."""
     scan_module = importlib.import_module("relpoly.scan")
     original = scan_module._member_data
     seen = []
 
-    def spy(g, memo):
-        data = original(g, memo)
-        seen.append((g, memo, data))
-        return data
+    def spy(code, memo):
+        derived = original(code, memo)
+        assert derived[2].graph6 == code
+        seen.append((parse_graph6(code), memo, derived[0]))
+        return derived
 
     monkeypatch.setattr(scan_module, "_member_data", spy)
     return seen
@@ -258,8 +258,8 @@ def test_scan_members_get_the_whitney_of_a_fresh_memo(monkeypatch):
     seen = _spied_members(monkeypatch)
     scan(ClassSpec(7, 10))
     assert len(seen) == 132
-    for g, _, data in seen:
-        assert data.whitney == whitney(g, {})
+    for g, _, w in seen:
+        assert w == whitney(g, {})
 
 
 def test_scan_c44_flags():
@@ -444,7 +444,7 @@ def test_scan_footprint_stays_under_its_bound(monkeypatch):
     members = enumerate_class(ClassSpec(8, 14))
     # the enumeration runs untraced: its footprint is not what this bounds,
     # and under tracemalloc it alone would take several seconds
-    monkeypatch.setattr(scan_module, "enumerate_class", lambda spec: list(members))
+    monkeypatch.setattr(scan_module, "enumerate_class", lambda spec: members)
     gc.collect()
     tracemalloc.start()
     try:
