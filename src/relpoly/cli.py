@@ -257,7 +257,7 @@ def _cmd_certify(args) -> int:
             f"graph has (n, m) = ({g.n}, {g.m}); the class is C({spec.n}, {spec.m})"
         )
     require_connected(g)
-    members = enumerate_class(spec)
+    members = map(parse_graph6, enumerate_class(spec))
     outcome = certify_maximum(g, members, order=args.order, collect_all=args.full)
     payload = {
         "order": args.order,

@@ -3,16 +3,18 @@
 Enumeration yields one canonically labeled representative per isomorphism
 class (via complements when the class is dense) as a graph6 string.  A scan
 is one pass over them: each member's Whitney polynomial W is folded into the
-maximal antichains of the Whitney and Tutte orders (decided by division by
-1 - xy) and into running classwise maxima of the N^(k) prefix sums, then
-dropped.  The orders are transitive, so a maximum is the final antichain's
-only polynomial.  Strong members come from the count tables alone, so the
-theorem check (strong == Whitney-maximum) compares two independent readings.
+maximal antichain of the Tutte order (decided by division by 1 - xy) and
+into running classwise maxima of the N^(k) prefix sums, then dropped.  The
+order is transitive, so a Tutte maximum is the final antichain's only
+polynomial.  If T_g - T_h = (x + y - xy) P, then W_g - W_h =
+(1 - xy) P(x + 1, y + 1), so Tutte dominance implies Whitney dominance and a
+Whitney maximum is the final entry that Whitney-dominates the others.
+Strong members come from the count tables alone, so the theorem check
+(strong == Whitney-maximum) compares two independent readings.
 """
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -36,7 +38,7 @@ from .graphs import (  # noqa: F401
     parse_graph6,
     to_graph6,
 )
-from .order import EQUAL, compare_tutte_polys, compare_whitney_polys
+from .order import EQUAL, NEGATIVE_QUOTIENT, compare_tutte_polys, compare_whitney_polys
 from .poly import BivarPoly
 from .tutte import whitney
 
@@ -122,34 +124,14 @@ def _deletes_canonically(order, gens, tied) -> bool:
     return tied[0] == canonical or tied[0] in _pair_orbit(canonical, gens)
 
 
-class Members(Sequence):
-    """Graphs kept as graph6 strings and parsed when read; equal to any
-    sequence of the same graphs in the same order."""
-
-    __slots__ = ("codes",)
-
-    def __init__(self, codes: list[str]):
-        self.codes = codes
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Members(self.codes[i])
-        return parse_graph6(self.codes[i])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-
 def _graphs_with_edges(
     n: int, m: int, complement: bool = False, connected: bool = False
-) -> Members:
-    """One canonical representative per isomorphism class of graphs on n
-    labeled vertices with exactly m edges (connected or not), sorted by
-    certificate.  With complement, the complements of those graphs instead;
-    with connected, only the connected ones of what would be returned.
+) -> list[str]:
+    """The graph6 strings of one canonical representative per isomorphism
+    class of graphs on n labeled vertices with exactly m edges (connected or
+    not), sorted by certificate.  With complement, the complements of those
+    graphs instead; with connected, only the connected ones of what would be
+    returned.
 
     Generation is depth first by canonical deletion (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 1998).  A graph P is extended by
@@ -193,15 +175,16 @@ def _graphs_with_edges(
     if m == 0:
         # the empty and the complete graph are their own canonical copies
         root = empty.complement() if complement else empty
-        return Members([to_graph6(root)] if not connected or root.is_connected() else [])
+        return [to_graph6(root)] if not connected or root.is_connected() else []
     grow(empty, _canon_search(n, {})[2], 1)
     kept.sort()  # certificates are distinct, so this is by certificate
-    return Members([code for _, code in kept])
+    return [code for _, code in kept]
 
 
-def enumerate_class(spec: ClassSpec) -> Members:
-    """All members of C(n, m) up to isomorphism, canonically labeled and
-    sorted by certificate.  Dense classes are enumerated via complements."""
+def enumerate_class(spec: ClassSpec) -> list[str]:
+    """The graph6 strings of all members of C(n, m) up to isomorphism,
+    canonically labeled and sorted by certificate.  Dense classes are
+    enumerated via complements."""
     if spec.n > ENUM_MAX_VERTICES:
         raise BudgetError(
             f"class enumeration capped at n <= {ENUM_MAX_VERTICES}, got n = {spec.n}"
@@ -361,7 +344,10 @@ def _fold(antichain: list, i: int, w: BivarPoly, compare) -> None:
     indices] entries, oldest first, for the maximal polynomials so far in
     the order that compare decides.  w joins an equal entry, is dropped
     below a dominating one, or else is appended and drops every entry it
-    dominates.  Newest first takes fewer compares than oldest first."""
+    dominates.  One compare per entry decides both ways: w - entry is
+    -(entry - w), so w dominates the entry exactly when the quotient of a
+    NegativeQuotient is nonpositive, and NotDivisible holds both ways.
+    Newest first takes fewer compares than oldest first."""
     kept = []
     for entry in reversed(antichain):
         above = compare(entry[0], w)
@@ -369,7 +355,7 @@ def _fold(antichain: list, i: int, w: BivarPoly, compare) -> None:
             if above.verdict == EQUAL:
                 entry[1].append(i)
             return
-        if not compare(w, entry[0]).ok():
+        if above.verdict != NEGATIVE_QUOTIENT or not (-above.quotient).is_nonnegative():
             kept.append(entry)
     antichain[:] = kept[::-1] + [[w, [i]]]
 
@@ -399,13 +385,12 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     # maximum so far of the N^(k) prefix column, at_top[k - 1] the members
     # that attain it; a rise clears them
     memo: dict = {}
-    whitney_top, tutte_top, data = [], [], []
+    tutte_top, data = [], []
     top = [(0,) * (m + 1)] * n
     at_top: list[set[int]] = [set() for _ in range(n)]
-    for i, code in enumerate(members.codes):
+    for i, code in enumerate(members):
         w, prefix, d = _member_data(code, memo)
         data.append(d)
-        _fold(whitney_top, i, w, compare_whitney_polys)
         _fold(tutte_top, i, w, compare_tutte_polys)
         for k, column in enumerate(list(zip(*prefix))[1:]):
             risen = tuple(map(max, top[k], column))
@@ -422,6 +407,11 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     zero = [d.mu == mu_min for d in data]
     t1_max = max(d.t_list[0] for d in data)
     t_opt = [d.t_list[0] == t1_max for d in data]
+    # a Whitney maximum is a final Tutte entry (see the module docstring)
+    whitney_top = [
+        e for e in tutte_top
+        if all(compare_whitney_polys(e[0], f[0]).ok() for f in tutte_top if f is not e)
+    ]
     whitney_max = _maximum_flags(whitney_top, count)
     tutte_max = _maximum_flags(tutte_top, count)
 

@@ -5,7 +5,8 @@ import itertools
 import random
 from math import comb
 
-from relpoly.graphs import SimpleGraph
+from relpoly.graphs import SimpleGraph, parse_graph6
+from relpoly.scan import enumerate_class
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> SimpleGraph:
@@ -53,6 +54,12 @@ def random_connected(rng: random.Random, n_max: int = 8, m_max: int = 20) -> Sim
     n = rng.randint(2, n_max)
     m = rng.randint(n - 1, min(m_max, n * (n - 1) // 2))
     return random_connected_graph(rng, n, m)
+
+
+def class_graphs(spec) -> list[SimpleGraph]:
+    """The members of a class as graphs, parsed from the graph6 strings
+    that enumerate_class returns."""
+    return [parse_graph6(code) for code in enumerate_class(spec)]
 
 
 def all_labeled_graphs(n: int, m: int):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
-from conftest import random_connected_graph
+from conftest import class_graphs, random_connected_graph
 from relpoly.cli import main as cli_main
 from relpoly.counts import (
     ntable_bruteforce,
@@ -27,7 +27,6 @@ from relpoly.order import DOMINATES, EQUAL, compare_tutte_polys, compare_whitney
 from relpoly.poly import BivarPoly
 from relpoly.scan import (
     ClassSpec,
-    enumerate_class,
     labeled_connected_count,
     scan,
     verify_section4,
@@ -60,7 +59,7 @@ def _random_connected(rng, n_choices, m_cap=None):
 def all_connected_up_to_n5():
     for n in range(1, 6):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            yield from enumerate_class(ClassSpec(n, m))
+            yield from class_graphs(ClassSpec(n, m))
 
 
 def test_criterion_1_frozen_tutte_quotient(capsys):
@@ -113,7 +112,7 @@ def test_criterion_3_unique_whitney_maximum_in_c_8_18(capsys):
     assert canonical_form(parse_graph6(wm[0]["graph6"])) == g_cert
 
     # independent exhaustiveness check of the enumeration behind the scan
-    members = enumerate_class(ClassSpec(8, 18))
+    members = class_graphs(ClassSpec(8, 18))
     labeled = sum(factorial(8) // automorphism_count(g) for g in members)
     assert labeled == labeled_connected_count(8, 18)
 
@@ -199,7 +198,7 @@ def test_criterion_7_lemma1_and_lemma3_pair_suites(capsys):
     memo = {}
     pairs = 0
     for spec in _pair_suite_classes():
-        members = enumerate_class(spec)
+        members = class_graphs(spec)
         polys = [whitney(g, memo=memo) for g in members]
         tables = [ntable_from_whitney(w, spec.n, spec.m) for w in polys]
         for a in range(len(members)):

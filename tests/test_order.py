@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import class_graphs
 from relpoly.counts import ntable_bruteforce
 from relpoly.errors import DimensionMismatchError, ParameterError
 from relpoly.graphs import SimpleGraph, fixture
@@ -17,7 +18,7 @@ from relpoly.order import (
     whitney_compare,
 )
 from relpoly.poly import BivarPoly
-from relpoly.scan import ClassSpec, enumerate_class
+from relpoly.scan import ClassSpec
 from relpoly.tutte import tutte_dc
 
 ONE_MINUS_XY = BivarPoly({(0, 0): 1, (1, 1): -1})
@@ -132,7 +133,7 @@ def test_whitney_compare_c4_dominates_paw():
 
 def test_compare_antisymmetry():
     for spec in (ClassSpec(4, 4), ClassSpec(5, 6), ClassSpec(5, 7)):
-        members = enumerate_class(spec)
+        members = class_graphs(spec)
         for g in members:
             for h in members:
                 r = whitney_compare(g, h)
@@ -142,7 +143,7 @@ def test_compare_antisymmetry():
 
 def test_tutte_dominates_implies_whitney_dominates_small():
     for spec in (ClassSpec(4, 4), ClassSpec(4, 5), ClassSpec(5, 6)):
-        members = enumerate_class(spec)
+        members = class_graphs(spec)
         for g in members:
             for h in members:
                 rt = tutte_compare(g, h)
@@ -158,7 +159,7 @@ def test_compare_dimension_mismatch():
 
 
 def test_certify_maximum_small_class():
-    c44 = enumerate_class(ClassSpec(4, 4))
+    c44 = class_graphs(ClassSpec(4, 4))
     c4 = fixture("cycle", 4)
     out = certify_maximum(c4, c44)
     assert out.is_maximum and out.checked == 2
@@ -171,7 +172,7 @@ def test_certify_maximum_small_class():
 def test_certify_maximum_singleton_and_collect_all():
     g = fixture("cycle", 5)
     assert certify_maximum(g, [g]).is_maximum
-    c55 = enumerate_class(ClassSpec(5, 5))
+    c55 = class_graphs(ClassSpec(5, 5))
     assert len(c55) > 1
     worst = None
     for cand in c55:

@@ -12,7 +12,7 @@ from math import factorial
 
 import pytest
 
-from conftest import all_labeled_graphs
+from conftest import all_labeled_graphs, class_graphs
 from relpoly.cli import main
 from relpoly.errors import BudgetError, EmptyClassError, ParameterError
 from relpoly.graphs import (
@@ -23,7 +23,14 @@ from relpoly.graphs import (
     fixture,
     parse_graph6,
 )
-from relpoly.order import DOMINATES, OrderResult, compare_tutte_polys, compare_whitney_polys
+from relpoly.order import (
+    DOMINATES,
+    NEGATIVE_QUOTIENT,
+    NOT_DIVISIBLE,
+    OrderResult,
+    compare_tutte_polys,
+    compare_whitney_polys,
+)
 from relpoly.scan import (
     ClassSpec,
     _fold,
@@ -75,7 +82,7 @@ def test_class_spec_bounds():
 
 def test_enumerate_small_classes():
     assert len(enumerate_class(ClassSpec(3, 3))) == 1
-    c44 = enumerate_class(ClassSpec(4, 4))
+    c44 = class_graphs(ClassSpec(4, 4))
     assert len(c44) == 2
     certs = {canonical_form(g) for g in c44}
     paw = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
@@ -83,7 +90,7 @@ def test_enumerate_small_classes():
 
 
 def test_enumerate_members_are_canonical_sorted_connected():
-    members = enumerate_class(ClassSpec(5, 6))
+    members = class_graphs(ClassSpec(5, 6))
     certs = [canonical_form(g) for g in members]
     assert certs == sorted(certs)
     assert len(set(certs)) == len(members)
@@ -95,17 +102,17 @@ def test_enumerate_members_are_canonical_sorted_connected():
 def test_enumeration_matches_bruteforce_dedup():
     for n in range(2, 6):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            got = {canonical_form(g) for g in enumerate_class(ClassSpec(n, m))}
+            got = {canonical_form(g) for g in class_graphs(ClassSpec(n, m))}
             assert got == brute_class_certs(n, m), (n, m)
 
 
 def test_dense_complement_route_matches_direct():
     # C(6, 10) is enumerated via 5-edge complements; check against the
     # direct generator over 10-edge graphs
-    via_complement = {canonical_form(g) for g in enumerate_class(ClassSpec(6, 10))}
+    via_complement = {canonical_form(g) for g in class_graphs(ClassSpec(6, 10))}
     direct = {
         canonical_form(g)
-        for g in _graphs_with_edges(6, 10)
+        for g in map(parse_graph6, _graphs_with_edges(6, 10))
         if g.is_connected()
     }
     assert via_complement == direct
@@ -142,13 +149,13 @@ def test_unlabeled_connected_totals_match_known_sequence():
 def test_enumeration_exhaustive_by_automorphism_identity():
     for n in range(2, 7):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            members = enumerate_class(ClassSpec(n, m))
+            members = class_graphs(ClassSpec(n, m))
             labeled = sum(factorial(n) // automorphism_count(g) for g in members)
             assert labeled == labeled_connected_count(n, m), (n, m)
 
 
 def test_c98_trees_by_automorphism_identity():
-    members = enumerate_class(ClassSpec(9, 8))
+    members = class_graphs(ClassSpec(9, 8))
     assert len(members) == 47  # trees on 9 vertices
     labeled = sum(factorial(9) // automorphism_count(g) for g in members)
     assert labeled == labeled_connected_count(9, 8) == 9**7  # Cayley
@@ -168,7 +175,7 @@ def test_enumeration_matches_graph_atlas():
     total = 0
     for n in range(1, 8):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            members = enumerate_class(ClassSpec(n, m))
+            members = class_graphs(ClassSpec(n, m))
             assert len(members) == atlas_counts[(n, m)], (n, m)
             assert {canonical_form(g) for g in members} == atlas_certs[(n, m)], (n, m)
             total += len(members)
@@ -311,13 +318,14 @@ def test_theorem2_and_lemma1_small_classes():
 
 
 def test_theorem2_check_certifies_members_that_are_not_strong(monkeypatch):
-    # negative control: under a Whitney order that calls every pair
+    # negative control: under a Tutte order that calls every pair
     # Dominates, the first member's entry dominates every later member, so
-    # the antichain keeps the first member alone and flags it; in C(5, 6)
-    # that member is not the strong one, so the check must fail
+    # the antichain keeps the first member alone, and as its only entry that
+    # member is the Whitney maximum too; in C(5, 6) it is not the strong
+    # one, so the check must fail
     scan_module = importlib.import_module("relpoly.scan")
     monkeypatch.setattr(
-        scan_module, "compare_whitney_polys", lambda w_g, w_h: OrderResult(DOMINATES)
+        scan_module, "compare_tutte_polys", lambda w_g, w_h: OrderResult(DOMINATES)
     )
     report = scan(ClassSpec(5, 6))
     assert not report.theorem2_check
@@ -325,41 +333,88 @@ def test_theorem2_check_certifies_members_that_are_not_strong(monkeypatch):
     assert [r.whitney_max for r in report.members] == [True] + [False] * 4
 
 
+def test_theorem2_check_fails_without_the_whitney_compares(monkeypatch):
+    # negative control: C(8, 18) has a Whitney maximum but no Tutte
+    # maximum, so only the Whitney compares between its final Tutte entries
+    # find the maximum (no class with n <= 7 has one without the other);
+    # with every such compare NotDivisible no member is flagged, and the
+    # strong member goes unmatched
+    scan_module = importlib.import_module("relpoly.scan")
+    monkeypatch.setattr(
+        scan_module,
+        "compare_whitney_polys",
+        lambda w_g, w_h: OrderResult(NOT_DIVISIBLE, witness=(0, 0)),
+    )
+    report = scan(ClassSpec(8, 18))
+    assert report.summary["whitney_max"] == 0
+    assert not report.theorem2_check
+
+
 def test_maxima_flags_match_pairwise_oracle():
-    # every ordered pair compared, no short-circuit
+    # every ordered pair compared, no short-circuit.  Also checked on every
+    # pair, the two facts the scan's one Tutte fold rests on: Tutte
+    # dominance implies Whitney dominance, and one compare decides the
+    # reverse one (w - v = -(v - w))
     for n in range(1, 7):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             spec = ClassSpec(n, m)
-            polys = [whitney(g) for g in enumerate_class(spec)]
-            oracle = {}
+            polys = [whitney(g) for g in class_graphs(spec)]
+            verdicts = {}
             for name, compare in (("whitney_max", compare_whitney_polys),
                                   ("tutte_max", compare_tutte_polys)):
-                verdicts = [[compare(p, q).ok() for q in polys] for p in polys]
-                oracle[name] = [all(row) for row in verdicts]
+                results = [[compare(p, q) for q in polys] for p in polys]
+                for a, row in enumerate(results):
+                    for b, result in enumerate(row):
+                        reverse = results[b][a]
+                        if result.verdict == NEGATIVE_QUOTIENT:
+                            assert (-result.quotient).is_nonnegative() == reverse.ok()
+                        if result.verdict == NOT_DIVISIBLE:
+                            assert reverse.verdict == NOT_DIVISIBLE
+                verdicts[name] = [[result.ok() for result in row] for row in results]
+            for tutte_row, whitney_row in zip(verdicts["tutte_max"], verdicts["whitney_max"]):
+                assert all(w for t, w in zip(tutte_row, whitney_row) if t), (n, m)
             report = scan(spec)
-            for name, flags in oracle.items():
+            for name, rows in verdicts.items():
+                flags = [all(row) for row in rows]
                 assert [getattr(r, name) for r in report.members] == flags, (n, m, name)
+
+
+def _spied_compares(monkeypatch) -> Counter:
+    """Counts of the scan's calls to each compare, by function name."""
+    scan_module = importlib.import_module("relpoly.scan")
+    calls = Counter()
+    for name in ("compare_whitney_polys", "compare_tutte_polys"):
+        original = getattr(scan_module, name)
+
+        def spy(w_g, w_h, original=original, name=name):
+            calls[name] += 1
+            return original(w_g, w_h)
+
+        monkeypatch.setattr(scan_module, name, spy)
+    return calls
 
 
 def test_full_scan_tries_the_last_refuter_first(monkeypatch):
     # C(7, 10) has one Whitney-maximum member among 132.  Certifying each
     # member with all() in member order made 1,354 Whitney and 1,354 Tutte
-    # compares, and trying the refuters of earlier members first made 628;
-    # folding each member into the two antichains, newest entry first,
-    # makes 344
-    scan_module = importlib.import_module("relpoly.scan")
-    calls = []
-    for name in ("compare_whitney_polys", "compare_tutte_polys"):
-        original = getattr(scan_module, name)
-
-        def spy(w_g, w_h, original=original):
-            calls.append(1)
-            return original(w_g, w_h)
-
-        monkeypatch.setattr(scan_module, name, spy)
+    # compares, trying the refuters of earlier members first made 628, and
+    # folding each member into a Whitney and a Tutte antichain, newest entry
+    # first, made 344; one Tutte fold with one compare per entry makes 145
+    calls = _spied_compares(monkeypatch)
     report = scan(ClassSpec(7, 10))
     assert report.summary["whitney_max"] == 1
-    assert len(calls) < 450
+    assert sum(calls.values()) < 200
+
+
+def test_whitney_maximum_costs_a_few_compares_after_the_tutte_fold(monkeypatch):
+    # C(8, 18) has a Whitney maximum and no Tutte maximum.  Two antichains
+    # with two compares per entry made 1,492 compares; one Tutte fold makes
+    # 695, and the Whitney maximum among its three final entries 4 more
+    calls = _spied_compares(monkeypatch)
+    report = scan(ClassSpec(8, 18))
+    assert (report.summary["whitney_max"], report.summary["tutte_max"]) == (1, 0)
+    assert calls["compare_whitney_polys"] <= 5
+    assert sum(calls.values()) <= 700
 
 
 def test_antichain_flags_do_not_depend_on_the_member_order():
@@ -370,7 +425,7 @@ def test_antichain_flags_do_not_depend_on_the_member_order():
     for n in range(1, 8):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             memo: dict = {}
-            polys = [whitney(g, memo) for g in enumerate_class(ClassSpec(n, m))]
+            polys = [whitney(g, memo) for g in class_graphs(ClassSpec(n, m))]
             forward = list(range(len(polys)))
             shuffled = rng.sample(forward, len(forward))
             for compare in (compare_whitney_polys, compare_tutte_polys):

@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from conftest import random_connected, random_connected_graph, random_graph, random_multigraph
+from conftest import (
+    class_graphs,
+    random_connected,
+    random_connected_graph,
+    random_graph,
+    random_multigraph,
+)
 from relpoly.counts import ntable_from_whitney, t_k
 from relpoly.errors import BudgetError, DisconnectedGraphError
 from relpoly.graphs import (
@@ -17,7 +23,7 @@ from relpoly.graphs import (
     parse_graph6,
 )
 from relpoly.poly import BivarPoly
-from relpoly.scan import ClassSpec, enumerate_class
+from relpoly.scan import ClassSpec
 from relpoly.tutte import (
     _block_split,
     _dc,
@@ -63,7 +69,7 @@ def test_dc_matches_expansion_exhaustive_n5():
     memo = {}
     for n in range(1, 6):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            for g in enumerate_class(ClassSpec(n, m)):
+            for g in class_graphs(ClassSpec(n, m)):
                 assert tutte_dc(g, memo) == tutte_expansion(g)
 
 
