@@ -1,13 +1,13 @@
 """Monte Carlo percolation against the exact pipeline.
 
-Each trial keeps every edge independently with probability p and counts
-components.  Trials are counted 64 to a machine word: each edge's draws are
-packed into a bit-row, and eliminating the vertices one by one (min-degree
-first) ORs together the trials in which two neighbours of the eliminated
-vertex are joined through it; a vertex is the last of its component in
-exactly the trials where it is joined to no vertex still left.  Batches draw
-from counter-based Philox streams, so a (seed, trial budget) pair is fully
-reproducible.
+Each trial keeps every edge independently with probability exactly p and
+counts components.  A batch of trials is counted at once on Python integers:
+each edge's draws form a bit-row, one bit per trial, and eliminating the
+vertices one by one (min-degree first) ORs together the trials in which two
+neighbours of the eliminated vertex are joined through it; a vertex is the
+last of its component in exactly the trials where it is joined to no vertex
+still left.  Batch b draws from random.Random(seed << 64 | b), so a (seed,
+trial budget) pair is fully reproducible.
 """
 from fractions import Fraction
 

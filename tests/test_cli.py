@@ -433,6 +433,37 @@ def test_deletion_contraction_deeper_than_the_stack_is_a_budget_refusal(capsys, 
     assert out == run_cli(capsys, "counts", "--graph", "fixture:figure1_G")[1]
 
 
+_SMALL_CALLS = {
+    "poly": ["poly", "--graph", "fixture:figure1_G", "--whitney"],
+    "counts": ["counts", "--graph", "fixture:figure1_G"],
+    "rel": ["rel", "--graph", "fixture:figure1_G", "--k", "1", "--p", "1/2", "--via-tutte"],
+    "compare": ["compare", "--g", "fixture:figure1_G", "--h", "fixture:figure1_H"],
+    "scan": ["scan", "--n", "6", "--m", "8"],
+    "certify": ["certify", "--graph", "fixture:complete_minus_matching:5:2", "--n", "5",
+                "--m", "8"],
+    "mc": ["mc", "--graph", "fixture:figure1_G", "--k", "1", "--p", "1/2", "--trials", "1000",
+           "--cross-check"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_CALLS))
+def test_low_recursion_limit_answers_or_refuses(command):
+    # in a fresh process whose recursion limit is lowered after importing the
+    # CLI, every command answers (exit 0) or refuses with a budget error
+    # (exit 3); an internal fault (exit 4) means some step still needs the
+    # interpreter stack, such as a module imported only when a command runs
+    src = str(Path(relpoly.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for limit in (45, 80):
+        code = (
+            "import sys\nfrom relpoly.cli import main\n"
+            f"sys.setrecursionlimit({limit})\nsys.exit(main({_SMALL_CALLS[command]!r}))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert run.returncode in (0, 3), (limit, run.stderr)
+
+
 def test_counts_on_graph_with_over_255_vertices(capsys, tmp_path):
     # theta graph: hubs 0 and 1 joined by paths of 1, 2 and 257 edges; the
     # canonical search behind its 259-vertex block's memo key compares wide
