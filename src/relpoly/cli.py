@@ -241,7 +241,8 @@ def _cmd_scan(args) -> int:
     report = scan(spec, args.limit)
     if csv is not None:
         try:
-            csv.write_text("\n".join(report.to_csv_rows()) + "\n")
+            with csv.open("w") as out:
+                out.writelines(row + "\n" for row in report.to_csv_rows())
         except OSError as exc:
             raise ParameterError(f"cannot write {csv}: {exc.strerror}") from None
     _dump(report)

@@ -11,10 +11,16 @@ polynomial.  If T_g - T_h = (x + y - xy) P, then W_g - W_h =
 Whitney maximum is the final entry that Whitney-dominates the others.
 Strong members come from the count tables alone, so the theorem check
 (strong == Whitney-maximum) compares two independent readings.
+
+A member's report fields are written to a line of a temporary file as it is
+scanned, so what a scan holds in memory is classwise: the antichain, the
+running maxima and the sets of members that attain them.  The report reads
+the file again whenever its members are iterated, merging in their flags.
 """
 from __future__ import annotations
 
 import json
+from itertools import islice
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -220,32 +226,23 @@ def labeled_connected_count(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class MemberData(NamedTuple):
-    """What a scan keeps of a member for its report."""
-
-    graph6: str
-    mu: tuple[int, ...]
-    t_list: tuple[int, ...]
-    lambda_list: tuple[int | None, ...]
-    table_digest: str
-
-
-def _member_data(code: str, memo: dict) -> tuple[BivarPoly, tuple, MemberData]:
-    """(W, the count table's prefix sums N_i^(k), MemberData) of the member
-    with graph6 string code; the scan folds the first two and keeps the
-    third."""
+def _member_data(code: str, memo: dict) -> tuple[BivarPoly, tuple, tuple]:
+    """(W, the count table's prefix sums N_i^(k), report fields) of the
+    member with graph6 string code; the scan folds the first two and spills
+    the fields, (graph6, mu, t_list, lambda_list, table_digest), as one line
+    of its report file."""
     g = parse_graph6(code)
     # a member is its own canonical copy, as enumerate_class returns it
     w = whitney(g, memo=memo, canonical=True)
     table = ntable_from_whitney(w, g.n, g.m)
-    data = MemberData(
-        graph6=code,
-        mu=mu_vector(table),
-        t_list=tuple(t_k(table, k) for k in range(1, g.n + 1)),
-        lambda_list=tuple(lambda_k(table, k) for k in range(1, g.n + 1)),
-        table_digest=_table_digest(table),
+    fields = (
+        code,
+        mu_vector(table),
+        tuple(t_k(table, k) for k in range(1, g.n + 1)),
+        tuple(lambda_k(table, k) for k in range(1, g.n + 1)),
+        _table_digest(table),
     )
-    return w, table.prefix, data
+    return w, table.prefix, fields
 
 
 class MemberReport(NamedTuple):
@@ -281,10 +278,72 @@ class MemberReport(NamedTuple):
         }
 
 
+class SpilledMembers:
+    """The MemberReports of a scan, in member order, built on each
+    iteration: the fields of member i are line i of a temporary file (the
+    JSON list that _member_data's fields give), and its flags are read off
+    the sets of members that the scan kept.  Supports len, iteration, and
+    indexing and slicing, each one pass over the file."""
+
+    def __init__(self, spill, count, at_top, at_mu_min, at_t1_max, whitney_max, tutte_max):
+        self._spill = spill
+        self._count = count
+        # at_top[k - 1]: the members that attain the classwise maximum of
+        # N^(k); the other four are the members flagged each way
+        self._at_top = at_top
+        self._at_mu_min = at_mu_min
+        self._at_t1_max = at_t1_max
+        self._whitney_max = whitney_max
+        self._tutte_max = tutte_max
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[MemberReport]:
+        spill, pos = self._spill, 0
+        for i in range(self._count):
+            # a seek per line keeps two iterations apart
+            spill.seek(pos)
+            line = spill.readline()
+            pos += len(line)
+            code, mu, t_list, lambda_list, digest = json.loads(line)
+            k_umrg = tuple(i in s for s in self._at_top)
+            yield MemberReport(
+                graph6=code,
+                strong=all(k_umrg),
+                zero_element=i in self._at_mu_min,
+                whitney_max=i in self._whitney_max,
+                tutte_max=i in self._tutte_max,
+                t_optimal=i in self._at_t1_max,
+                k_umrg_by_domination=k_umrg,
+                t1=t_list[0],
+                lambda1=lambda_list[0],
+                mu=tuple(mu),
+                t_list=tuple(t_list),
+                lambda_list=tuple(lambda_list),
+                table_digest=digest,
+            )
+
+    def __getitem__(self, index):
+        picked = range(self._count)[index]
+        if isinstance(picked, int):
+            return next(islice(self, picked, None))
+        last = max(picked, default=-1)
+        rows = [r for i, r in enumerate(islice(self, last + 1)) if i in picked]
+        return tuple(rows if picked.step > 0 else reversed(rows))
+
+    def close(self) -> None:
+        """Close the file; iterating after this raises ValueError."""
+        self._spill.close()
+
+    # a report dropped unclosed closes its file
+    __del__ = close
+
+
 class ClassReport(NamedTuple):
     spec: ClassSpec
     partial: bool
-    members: tuple[MemberReport, ...]
+    members: SpilledMembers
     summary: dict
     theorem2_check: bool
 
@@ -309,24 +368,22 @@ class ClassReport(NamedTuple):
             yield ("," if i else "") + _compact_json(r.to_json_dict())
         yield "]," + _compact_json(self._head())[1:]
 
-    def to_csv_rows(self) -> list[str]:
-        rows = ["graph6,strong,zero_element,whitney_max,tutte_max,t_optimal,t1,lambda1"]
+    def to_csv_rows(self) -> Iterator[str]:
+        """The lines of the CSV digest, the header first, one member each."""
+        yield "graph6,strong,zero_element,whitney_max,tutte_max,t_optimal,t1,lambda1"
         for r in self.members:
-            rows.append(
-                ",".join(
-                    [
-                        r.graph6,
-                        str(int(r.strong)),
-                        str(int(r.zero_element)),
-                        str(int(r.whitney_max)),
-                        str(int(r.tutte_max)),
-                        str(int(r.t_optimal)),
-                        str(r.t1),
-                        "" if r.lambda1 is None else str(r.lambda1),
-                    ]
-                )
+            yield ",".join(
+                [
+                    r.graph6,
+                    str(int(r.strong)),
+                    str(int(r.zero_element)),
+                    str(int(r.whitney_max)),
+                    str(int(r.tutte_max)),
+                    str(int(r.t_optimal)),
+                    str(r.t1),
+                    "" if r.lambda1 is None else str(r.lambda1),
+                ]
             )
-        return rows
 
 
 def _compact_json(obj) -> str:
@@ -360,10 +417,10 @@ def _fold(antichain: list, i: int, w: BivarPoly, compare) -> None:
     antichain[:] = kept[::-1] + [[w, [i]]]
 
 
-def _maximum_flags(antichain: list, count: int) -> list[bool]:
-    """Whether each member has the final antichain's only polynomial."""
-    top = set(antichain[0][1]) if len(antichain) == 1 else ()
-    return [i in top for i in range(count)]
+def _maximum_members(antichain: list) -> set[int]:
+    """The members with the final antichain's only polynomial, if it has
+    one polynomial."""
+    return set(antichain[0][1]) if len(antichain) == 1 else set()
 
 
 def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
@@ -372,7 +429,15 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     limit (smoke mode, at least 1) scans only the first members; the report
     is then partial.  The whole class is still enumerated and canonically
     labeled first, so a limited C(8, 18) scan (limit 40) still takes about
-    two fifths of the time of a full one.  Each W is dropped once folded."""
+    two fifths of the time of a full one.
+
+    Each W is dropped once folded, and each member's report fields go to a
+    line of an unnamed temporary file.  What the scan keeps is classwise:
+    the running N^(k) maxima, mu-min and t_1-max, each with the members that
+    attain it, and the Tutte antichain.  The report's members are read back
+    from the file on each iteration, and the file is closed with them."""
+    import tempfile  # deferred: only a scan spills, and the CLI imports this module
+
     if limit is not None and limit < 1:
         raise ParameterError(f"scan limit {limit}; need at least 1")
     members = enumerate_class(spec)
@@ -383,63 +448,57 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
 
     # one deletion-contraction memo per scan.  top[k - 1] is the classwise
     # maximum so far of the N^(k) prefix column, at_top[k - 1] the members
-    # that attain it; a rise clears them
+    # that attain it; a rise clears them, as a new mu-min or t_1-max clears
+    # the members that attained the old one
     memo: dict = {}
-    tutte_top, data = [], []
+    tutte_top: list = []
     top = [(0,) * (m + 1)] * n
     at_top: list[set[int]] = [set() for _ in range(n)]
-    for i, code in enumerate(members):
-        w, prefix, d = _member_data(code, memo)
-        data.append(d)
-        _fold(tutte_top, i, w, compare_tutte_polys)
-        for k, column in enumerate(list(zip(*prefix))[1:]):
-            risen = tuple(map(max, top[k], column))
-            if risen != top[k]:
-                top[k], at_top[k] = risen, set()
-            if column == risen:
-                at_top[k].add(i)
-    del memo, members
+    spill = tempfile.TemporaryFile()
+    try:
+        for i, code in enumerate(members):
+            w, prefix, fields = _member_data(code, memo)
+            spill.write(json.dumps(fields, separators=(",", ":")).encode() + b"\n")
+            _fold(tutte_top, i, w, compare_tutte_polys)
+            for k, column in enumerate(list(zip(*prefix))[1:]):
+                risen = tuple(map(max, top[k], column))
+                if risen != top[k]:
+                    top[k], at_top[k] = risen, set()
+                if column == risen:
+                    at_top[k].add(i)
+            _, mu, t_list, _, _ = fields
+            if i == 0 or mu < mu_min:
+                mu_min, at_mu_min = mu, set()
+            if mu == mu_min:
+                at_mu_min.add(i)
+            if i == 0 or t_list[0] > t1_max:
+                t1_max, at_t1_max = t_list[0], set()
+            if t_list[0] == t1_max:
+                at_t1_max.add(i)
+        count = len(members)
+        del memo, members
 
-    count = len(data)
-    k_umrg = [tuple(i in s for s in at_top) for i in range(count)]
-    strong = [all(per_k) for per_k in k_umrg]
-    mu_min = min(d.mu for d in data)
-    zero = [d.mu == mu_min for d in data]
-    t1_max = max(d.t_list[0] for d in data)
-    t_opt = [d.t_list[0] == t1_max for d in data]
-    # a Whitney maximum is a final Tutte entry (see the module docstring)
-    whitney_top = [
-        e for e in tutte_top
-        if all(compare_whitney_polys(e[0], f[0]).ok() for f in tutte_top if f is not e)
-    ]
-    whitney_max = _maximum_flags(whitney_top, count)
-    tutte_max = _maximum_flags(tutte_top, count)
-
-    reports = tuple(
-        MemberReport(
-            graph6=d.graph6,
-            strong=strong[i],
-            zero_element=zero[i],
-            whitney_max=whitney_max[i],
-            tutte_max=tutte_max[i],
-            t_optimal=t_opt[i],
-            k_umrg_by_domination=k_umrg[i],
-            t1=d.t_list[0],
-            lambda1=d.lambda_list[0],
-            mu=d.mu,
-            t_list=d.t_list,
-            lambda_list=d.lambda_list,
-            table_digest=d.table_digest,
+        # a Whitney maximum is a final Tutte entry (see the module docstring)
+        whitney_top = [
+            e for e in tutte_top
+            if all(compare_whitney_polys(e[0], f[0]).ok() for f in tutte_top if f is not e)
+        ]
+        whitney_max = _maximum_members(whitney_top)
+        tutte_max = _maximum_members(tutte_top)
+        strong = set.intersection(*at_top)
+        reports = SpilledMembers(
+            spill, count, at_top, at_mu_min, at_t1_max, whitney_max, tutte_max
         )
-        for i, d in enumerate(data)
-    )
+    except BaseException:
+        spill.close()
+        raise
     summary = {
         "class_size": count,
-        "strong": sum(strong),
-        "zero_element": sum(zero),
-        "whitney_max": sum(whitney_max),
-        "tutte_max": sum(tutte_max),
-        "t_optimal": sum(t_opt),
+        "strong": len(strong),
+        "zero_element": len(at_mu_min),
+        "whitney_max": len(whitney_max),
+        "tutte_max": len(tutte_max),
+        "t_optimal": len(at_t1_max),
     }
     return ClassReport(
         spec=spec,
@@ -464,17 +523,23 @@ def verify_section4(report: ClassReport) -> Section4Result:
     is refused: its flags are relative to the members it scanned."""
     if report.partial:
         raise ParameterError("verify_section4 needs a fully scanned class, not a partial report")
-    members = report.members
-    wm = [r for r in members if r.whitney_max]
+    n = report.spec.n
+    # one pass for the Whitney-maximum members and the class maxima, one
+    # for the members that share their mu-vector: each pass reads the file
+    wm = []
+    t_max = [0] * n
+    lam_max: list[int | None] = [None] * n
+    for r in report.members:
+        if r.whitney_max:
+            wm.append(r)
+        for k in range(n):
+            t_max[k] = max(t_max[k], r.t_list[k])
+            lam = r.lambda_list[k]
+            if lam is not None and (lam_max[k] is None or lam > lam_max[k]):
+                lam_max[k] = lam
     if not wm:
         return Section4Result(ok=True, vacuous=True)
-    n = report.spec.n
     failures = []
-    t_max = [max(r.t_list[k] for r in members) for k in range(n)]
-    lam_max = [
-        max((r.lambda_list[k] for r in members if r.lambda_list[k] is not None), default=None)
-        for k in range(n)
-    ]
     for r in wm:
         for k in range(n):
             if r.t_list[k] != t_max[k]:
@@ -486,7 +551,7 @@ def verify_section4(report: ClassReport) -> Section4Result:
         if not r.zero_element:
             failures.append(f"{r.graph6}: Whitney-maximum but not a mu-lex minimum")
     ref_mu = wm[0].mu
-    for r in members:
+    for r in report.members:
         if r.mu == ref_mu and not r.zero_element:
             failures.append(f"{r.graph6}: shares the maximum N^(1) row but not flagged 0-element")
     return Section4Result(ok=not failures, vacuous=False, failures=tuple(failures))

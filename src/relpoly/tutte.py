@@ -4,11 +4,14 @@ whitney_expansion reads W off the frontier-DP census of relpoly.graphs, which
 counts all 2^m spanning subgraphs by edges and components, and
 tutte_expansion is W shifted back, T(x, y) = W(x - 1, y - 1); tutte_dc runs
 deletion-contraction on canonical copies, so its work depends only on the
-isomorphism class.  Its memo maps bytes to polynomials.  A block is looked
-up first by its own encoding, the certificate layout of relpoly.graphs under
-the identity order, which needs no search; only on a miss is it searched
-for its certificate, the encoding of its canonical copy.  Equal bytes always
-name the same labeled multigraph, so one dict holds both kinds of key.
+isomorphism class.  Its memo maps bytes to bytes.  A block is looked up first
+by its own encoding, the certificate layout of relpoly.graphs under the
+identity order, which needs no search; only on a miss is it searched for its
+certificate, the encoding of its canonical copy.  Equal bytes always name the
+same labeled multigraph, so one dict holds both kinds of key.  A value is the
+polynomial's coefficient rows packed by marshal: the 1,751 distinct values
+of a C(8, 18) scan take 0.38 MB packed, against 1.17 MB as row tuples.  Only
+_dc_block packs and unpacks them.
 
 DC contracts a whole parallel class at once, so no minor has a loop.  The
 recursion factors over biconnected blocks (a parallel class on no cycle is a
@@ -18,6 +21,7 @@ classes and plain cycles.  The design follows Haggard, Pearce & Royle,
 """
 from __future__ import annotations
 
+import marshal
 import sys
 
 from .errors import BudgetError
@@ -142,12 +146,12 @@ def _dc_block(core, memo, canonical=False):
         own = _encode(n, mult, range(n))
         hit = memo.get(own)
         if hit is not None:
-            return hit
+            return BivarPoly._raw(marshal.loads(hit))
         cert = _core_key(n, mult)
         hit = memo.get(cert)
         if hit is not None:
             memo[own] = hit
-            return hit
+            return BivarPoly._raw(marshal.loads(hit))
         if cert != own:
             n, edges = _decode(cert)
 
@@ -179,7 +183,7 @@ def _dc_block(core, memo, canonical=False):
     result = result + cpoly
 
     if not canonical:
-        memo[cert] = memo[own] = result
+        memo[cert] = memo[own] = marshal.dumps(result.rows)
     return result
 
 
@@ -219,8 +223,8 @@ def tutte_dc(g: SimpleGraph, memo=None, *, canonical=False) -> BivarPoly:
 
     A memo dict may be shared between calls (scan() and certify_maximum
     share one across a class); each entry maps the encoding of a labeled
-    block, its own or its canonical copy's, to its polynomial, so reuse
-    across graphs is safe.  Without one, the call uses a fresh memo.
+    block, its own or its canonical copy's, to its polynomial's packed rows,
+    so reuse across graphs is safe.  Without one, the call uses a fresh memo.
 
     canonical says that g is its own canonical copy, as enumerate_class
     returns it.  If g is then one block on all its vertices, its first step

@@ -33,9 +33,10 @@ from relpoly.order import (
 )
 from relpoly.scan import (
     ClassSpec,
+    MemberReport,
     _fold,
     _graphs_with_edges,
-    _maximum_flags,
+    _maximum_members,
     enumerate_class,
     labeled_connected_count,
     scan,
@@ -226,7 +227,7 @@ def _spied_members(monkeypatch):
 
     def spy(code, memo):
         derived = original(code, memo)
-        assert derived[2].graph6 == code
+        assert derived[2][0] == code
         seen.append((parse_graph6(code), memo, derived[0]))
         return derived
 
@@ -435,7 +436,7 @@ def test_antichain_flags_do_not_depend_on_the_member_order():
                     for i in order:
                         _fold(antichain, i, polys[i], compare)
                     groups.append(sorted(sorted(members) for _, members in antichain))
-                    flags.append(_maximum_flags(antichain, len(polys)))
+                    flags.append(_maximum_members(antichain))
                 assert groups[0] == groups[1] == groups[2], (n, m, compare.__name__)
                 assert flags[0] == flags[1] == flags[2], (n, m, compare.__name__)
 
@@ -461,7 +462,7 @@ def test_scan_report_serialization():
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
     again = json.dumps(scan(ClassSpec(4, 4)).to_json_dict(), sort_keys=True)
     assert blob == again
-    rows = report.to_csv_rows()
+    rows = list(report.to_csv_rows())
     assert rows[0] == "graph6,strong,zero_element,whitney_max,tutte_max,t_optimal,t1,lambda1"
     assert len(rows) == 3
 
@@ -492,9 +493,11 @@ def test_streamed_partial_and_csv_scans_equal_the_dict_tree(capsys, tmp_path):
 def test_scan_footprint_stays_under_its_bound(monkeypatch):
     # tracemalloc's peak over a C(8, 14) scan from the CLI, after its
     # enumeration: the member pass with its DC memo, the classification and
-    # the streamed JSON.  CPython 3.10-3.12 read 6.0-6.4 MB here; with
-    # polynomials in dicts keyed by exponent pairs, a count table kept per
-    # member and the report dumped as one dict tree they read 12.8-13.2 MB
+    # the streamed JSON.  CPython 3.10-3.12 read 3.9-4.5 MB here; with the
+    # memo's polynomials as row tuples and every member's report fields
+    # kept as objects they read 5.5-5.7 MB, and with polynomials in dicts
+    # keyed by exponent pairs, a count table kept per member and the report
+    # dumped as one dict tree 12.8-13.2 MB
     scan_module = importlib.import_module("relpoly.scan")
     members = enumerate_class(ClassSpec(8, 14))
     # the enumeration runs untraced: its footprint is not what this bounds,
@@ -508,7 +511,27 @@ def test_scan_footprint_stays_under_its_bound(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20, peak
+    assert peak < 6.5 * 2**20, peak
+
+
+def test_scan_report_keeps_no_member_objects():
+    # the members are lines of the report's file, built anew on each
+    # iteration; a scan that kept each member's report fields as objects
+    # left 126 MemberReports here
+    report = scan(ClassSpec(7, 12))
+    assert not [obj for obj in gc.get_objects() if type(obj) is MemberReport]
+    members = tuple(report.members)
+    assert tuple(report.members) == members and len(report.members) == len(members) == 126
+    # each iteration keeps its own place in the file
+    assert all(a == b for a, b in zip(report.members, report.members))
+    assert report.members[:2] == members[:2]
+    assert report.members[::-7] == members[::-7]
+    assert report.members[-1] == members[-1]
+    with pytest.raises(IndexError):
+        report.members[126]
+    report.members.close()
+    with pytest.raises(ValueError):
+        next(iter(report.members))
 
 
 def test_verify_section4_c44():

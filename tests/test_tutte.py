@@ -262,6 +262,27 @@ def test_memo_keys_are_bytes():
     for _ in range(5):
         _dc(*random_multigraph(rng, 6, 12, (1, 2, 3)), memo)
     assert memo and all(type(key) is bytes for key in memo)
+    assert all(type(value) is bytes for value in memo.values())
+
+
+def test_memo_hits_rebuild_big_coefficients_exactly(monkeypatch):
+    # the 2x35 ladder is the shortest whose tree number exceeds 2^64.  A
+    # relabeled copy misses under its own labels, finds the class by
+    # certificate and is rebuilt from the packed rows with no recursion:
+    # one search and one entry more.  T(1, 1) and T(2, 2) sum every
+    # coefficient, some of them above 2^32
+    g = _ladder(35)
+    rng = random.Random(30)
+    first, h = (g.relabel(rng.sample(range(g.n), g.n)) for _ in range(2))
+    memo = {}
+    tutte_dc(first, memo)
+    stored = len(memo)
+    searches = _counted_searches(monkeypatch)
+    t = tutte_dc(h, memo)
+    assert len(searches) == 1 and len(memo) == stored + 1
+    assert max(max(row) for row in t.rows if row) > 2**32
+    assert t.eval_rational(1, 1) == tree_number_mtt(h) > 2**64
+    assert t.eval_rational(2, 2) == 2**h.m
 
 
 def test_relabeled_copy_with_a_shared_memo_needs_one_search(monkeypatch):
