@@ -2,8 +2,10 @@
 
 For each isomorphism class of connected (n, m)-graphs the scan derives the
 count table and flags the strong, 0-element, Whitney-maximum, Tutte-maximum
-and t-optimal members.  Two independent code paths (entrywise table
-domination vs division certificates) must flag the same strong set.
+and t-optimal members.  Entrywise table domination and division
+certificates must flag the same strong set; both read the same Whitney
+polynomials, so this checks the table reader and the division against each
+other (tests/test_census_identity.py checks both against the subset census).
 
 Run with --large to reproduce the full C(8, 18) result (about 5 seconds):
 exactly one Whitney-maximum class, and no Tutte-maximum at all.

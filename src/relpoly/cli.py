@@ -142,9 +142,6 @@ def build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="classify a full class C(n, m)")
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--m", type=int, required=True)
-    p_scan.add_argument("--limit", type=int, default=None,
-                        help="smoke mode: scan only the first N members (report marked "
-                             "partial); the whole class is still enumerated first")
     # every scan certifies every member: --full does nothing and stays hidden,
     # accepted for existing invocations (perfbench's scan-c8-18-full workload)
     p_scan.add_argument("--full", action="store_true", help=argparse.SUPPRESS)
@@ -238,7 +235,7 @@ def _cmd_scan(args) -> int:
     if csv is not None and not os.access(csv.parent, os.W_OK):
         raise ParameterError(f"cannot write {csv}: {csv.parent} is missing or not writable")
     spec = ClassSpec(args.n, args.m)
-    report = scan(spec, args.limit)
+    report = scan(spec)
     if csv is not None:
         try:
             with csv.open("w") as out:

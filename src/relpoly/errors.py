@@ -19,8 +19,7 @@ class ParameterError(ValueError):
     """A usage error: a bad command-line option or rational, or a parameter
     outside its range (p outside [0, 1], or (0, 1) on the Tutte route; k
     outside 1..n; trials below 1; a seed outside 0..2^64-1; an unknown
-    order; a scan limit below 1; an unwritable CSV path; a partial scan
-    report given to verify_section4)."""
+    order; an unwritable CSV path)."""
 
 
 class EmptyClassError(ParameterError):

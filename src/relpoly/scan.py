@@ -9,8 +9,15 @@ order is transitive, so a Tutte maximum is the final antichain's only
 polynomial.  If T_g - T_h = (x + y - xy) P, then W_g - W_h =
 (1 - xy) P(x + 1, y + 1), so Tutte dominance implies Whitney dominance and a
 Whitney maximum is the final entry that Whitney-dominates the others.
-Strong members come from the count tables alone, so the theorem check
-(strong == Whitney-maximum) compares two independent readings.
+
+Strong members come from the count tables (ntable_from_whitney) and
+Whitney maxima from division by 1 - xy (divide_one_minus_xy), both read off
+the same W.  Since (W_g - W_h) / (1 - xy) is the sum over i and k of
+(N_i^(k)(g) - N_i^(k)(h)) x^(k-1) y^(i-n+k), the theorem check (strong ==
+Whitney-maximum) checks those two readings against each other, not W
+against an independent engine.  tests/test_census_identity.py checks the
+identity against the subset census, which shares no code with
+deletion-contraction.
 
 A member's report fields are written to a line of a temporary file as it is
 scanned, so what a scan holds in memory is classwise: the antichain, the
@@ -20,7 +27,6 @@ the file again whenever its members are iterated, merging in their flags.
 from __future__ import annotations
 
 import json
-from itertools import islice
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -31,7 +37,7 @@ from .counts import (
     ntable_from_whitney,
     t_k,
 )
-from .errors import BudgetError, EmptyClassError, ParameterError
+from .errors import BudgetError, EmptyClassError
 # canonical_form and canonical_relabel are unused here but stay importable
 # from this module because perfbench/tracer.py wraps them here
 from .graphs import (  # noqa: F401
@@ -282,8 +288,8 @@ class SpilledMembers:
     """The MemberReports of a scan, in member order, built on each
     iteration: the fields of member i are line i of a temporary file (the
     JSON list that _member_data's fields give), and its flags are read off
-    the sets of members that the scan kept.  Supports len, iteration, and
-    indexing and slicing, each one pass over the file."""
+    the sets of members that the scan kept.  Supports len and iteration,
+    each iteration one pass over the file."""
 
     def __init__(self, spill, count, at_top, at_mu_min, at_t1_max, whitney_max, tutte_max):
         self._spill = spill
@@ -324,14 +330,6 @@ class SpilledMembers:
                 table_digest=digest,
             )
 
-    def __getitem__(self, index):
-        picked = range(self._count)[index]
-        if isinstance(picked, int):
-            return next(islice(self, picked, None))
-        last = max(picked, default=-1)
-        rows = [r for i, r in enumerate(islice(self, last + 1)) if i in picked]
-        return tuple(rows if picked.step > 0 else reversed(rows))
-
     def close(self) -> None:
         """Close the file; iterating after this raises ValueError."""
         self._spill.close()
@@ -342,16 +340,17 @@ class SpilledMembers:
 
 class ClassReport(NamedTuple):
     spec: ClassSpec
-    partial: bool
     members: SpilledMembers
     summary: dict
     theorem2_check: bool
 
     def _head(self) -> dict:
-        # every field of the JSON form but "members"
+        # every field of the JSON form but "members".  A report covers its
+        # whole class, so "partial" is always false; the key stays because
+        # the pinned scan digests cover it
         return {
             "spec": {"n": self.spec.n, "m": self.spec.m},
-            "partial": self.partial,
+            "partial": False,
             "summary": self.summary,
             "theorem2_check": self.theorem2_check,
         }
@@ -423,13 +422,9 @@ def _maximum_members(antichain: list) -> set[int]:
     return set(antichain[0][1]) if len(antichain) == 1 else set()
 
 
-def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
+def scan(spec: ClassSpec) -> ClassReport:
     """Classify every member of C(n, m): strong / 0-element / Whitney-maximum /
     Tutte-maximum / t-optimal, with division certificates for the maxima.
-    limit (smoke mode, at least 1) scans only the first members; the report
-    is then partial.  The whole class is still enumerated and canonically
-    labeled first, so a limited C(8, 18) scan (limit 40) still takes about
-    two fifths of the time of a full one.
 
     Each W is dropped once folded, and each member's report fields go to a
     line of an unnamed temporary file.  What the scan keeps is classwise:
@@ -438,12 +433,7 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     from the file on each iteration, and the file is closed with them."""
     import tempfile  # deferred: only a scan spills, and the CLI imports this module
 
-    if limit is not None and limit < 1:
-        raise ParameterError(f"scan limit {limit}; need at least 1")
     members = enumerate_class(spec)
-    truncated = limit is not None and limit < len(members)
-    if truncated:
-        members = members[:limit]
     n, m = spec.n, spec.m
 
     # one deletion-contraction memo per scan.  top[k - 1] is the classwise
@@ -502,7 +492,6 @@ def scan(spec: ClassSpec, limit: int | None = None) -> ClassReport:
     }
     return ClassReport(
         spec=spec,
-        partial=truncated,
         members=reports,
         summary=summary,
         theorem2_check=strong == whitney_max,
@@ -516,13 +505,10 @@ class Section4Result(NamedTuple):
 
 
 def verify_section4(report: ClassReport) -> Section4Result:
-    """Check the invariant-maxima consequences on a fully scanned class:
-    every Whitney-maximum member attains the class maxima of lambda^(k) and
-    t_k for all k, is a mu-lex minimum, and every member sharing its N^(1)
-    row (equivalently its mu-vector) is a 0-element too.  A partial report
-    is refused: its flags are relative to the members it scanned."""
-    if report.partial:
-        raise ParameterError("verify_section4 needs a fully scanned class, not a partial report")
+    """Check the invariant-maxima consequences on a scanned class: every
+    Whitney-maximum member attains the class maxima of lambda^(k) and t_k
+    for all k, is a mu-lex minimum, and every member sharing its N^(1) row
+    (equivalently its mu-vector) is a 0-element too."""
     n = report.spec.n
     # one pass for the Whitney-maximum members and the class maxima, one
     # for the members that share their mu-vector: each pass reads the file

@@ -162,14 +162,11 @@ def test_scan_c44(capsys, tmp_path):
     assert len(lines) == 3
 
 
-def test_scan_limit_marks_partial(capsys):
-    _, out, _ = run_cli(capsys, "scan", "--n", "5", "--m", "6", "--limit", "2")
-    payload = json.loads(out)
-    assert payload["partial"] is True
-    assert len(payload["members"]) == 2
-
-    code, _, err = run_cli(capsys, "scan", "--n", "5", "--m", "6", "--limit", "0")
-    assert code == 2
+def test_scan_has_no_limit_option(capsys):
+    # every scan report covers its whole class: a slice of it is refused
+    # before anything is enumerated
+    code, out, err = run_cli(capsys, "scan", "--n", "8", "--m", "18", "--limit", "40")
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "usage"
 
 
@@ -181,7 +178,7 @@ def test_scan_full_does_not_change_results(capsys):
     with pytest.raises(SystemExit):
         main(["scan", "--help"])
     usage = capsys.readouterr().out
-    assert "--limit" in usage and "--full" not in usage
+    assert "--csv" in usage and "--full" not in usage
 
 
 def test_certify_maximum_and_expect_flag(capsys):

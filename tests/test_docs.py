@@ -128,7 +128,7 @@ def test_readme_command_block_parses():
 
 def test_readme_prose_names_only_existing_options():
     mentions = readme_option_mentions()
-    assert ("scan", "--limit") in mentions and (None, "--expect-maximum") in mentions
+    assert ("scan", "--csv") in mentions and (None, "--expect-maximum") in mentions
     options = command_options()
     every = set().union(*options.values())
     unknown = [
