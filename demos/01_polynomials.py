@@ -3,7 +3,7 @@
 The subgraph-expansion route counts all 2^m edge subsets by edges and
 components in a frontier DP; those counts are the coefficients of the
 Whitney polynomial W, and T(x, y) = W(x - 1, y - 1) is one shift back.  The
-deletion-contraction route recurses with an isomorphism-keyed memo and
+deletion-contraction route runs with an isomorphism-keyed memo and
 factors over biconnected blocks.  They must agree exactly, and the
 classical specializations fall out of the Whitney polynomial.
 """

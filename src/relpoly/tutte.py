@@ -13,18 +13,18 @@ polynomial's coefficient rows packed by marshal: the 1,751 distinct values
 of a C(8, 18) scan take 0.38 MB packed, against 1.17 MB as row tuples.  Only
 _dc_block packs and unpacks them.
 
-DC contracts a whole parallel class at once, so no minor has a loop.  The
-recursion factors over biconnected blocks (a parallel class on no cycle is a
-block, with factor x + y + ... + y^(c-1)) and short-circuits parallel
-classes and plain cycles.  The design follows Haggard, Pearce & Royle,
-"Computing Tutte polynomials" (ACM TOMS 2010).
+DC contracts a whole parallel class at once, so no minor has a loop.  It
+factors over biconnected blocks (a parallel class on no cycle is a block,
+with factor x + y + ... + y^(c-1)) and short-circuits parallel classes and
+plain cycles.  The design follows Haggard, Pearce & Royle, "Computing Tutte
+polynomials" (ACM TOMS 2010).  _dc and _expand are generators that yield the
+work of each sub-core, and _run drives them from a list, so the depth DC
+reaches is bounded by memory, not by the interpreter's recursion limit.
 """
 from __future__ import annotations
 
 import marshal
-import sys
 
-from .errors import BudgetError
 from .graphs import (
     SimpleGraph,
     _canon_search,
@@ -128,6 +128,7 @@ def _cycle_poly(length):
 
 
 def _dc_block(core, memo, canonical=False):
+    # a block's polynomial, or on a memo miss the generator that expands it
     n, edges = core
     if len(edges) == 1:
         return _dipole_poly(edges[0][2])
@@ -139,51 +140,57 @@ def _dc_block(core, memo, canonical=False):
     # copy and that no later lookup of the caller reaches it: it is expanded
     # with no search and not stored.  A wrong word costs only the
     # label-independence of the work, not the result.
-    if not canonical:
-        # a block's own encoding names it exactly, so a block the memo has
-        # seen under these labels needs no search
-        mult = {(u, v): c for u, v, c in edges}
-        own = _encode(n, mult, range(n))
-        hit = memo.get(own)
-        if hit is not None:
-            return BivarPoly._raw(marshal.loads(hit))
-        cert = _core_key(n, mult)
-        hit = memo.get(cert)
-        if hit is not None:
-            memo[own] = hit
-            return BivarPoly._raw(marshal.loads(hit))
-        if cert != own:
-            n, edges = _decode(cert)
+    if canonical:
+        return _expand(n, edges, memo, ())
+    # a block's own encoding names it exactly, so a block the memo has seen
+    # under these labels needs no search
+    mult = {(u, v): c for u, v, c in edges}
+    own = _encode(n, mult, range(n))
+    hit = memo.get(own)
+    if hit is not None:
+        return BivarPoly._raw(marshal.loads(hit))
+    cert = _core_key(n, mult)
+    hit = memo.get(cert)
+    if hit is not None:
+        memo[own] = hit
+        return BivarPoly._raw(marshal.loads(hit))
+    if cert != own:
+        n, edges = _decode(cert)
+    return _expand(n, edges, memo, (cert, own))
 
-    # the first class of maximal multiplicity: on the canonical copy this
-    # choice is a function of the isomorphism class.  The expansion stays in
-    # this frame: a frame per step more would lower the depth DC reaches
-    # under the recursion limit by about a third
+
+def _expand(n, edges, memo, keys):
+    # one DC step on a block, whose polynomial is stored under keys: none
+    # for a block taken on the caller's canonical word.  It expands the
+    # first class of maximal multiplicity: on the canonical copy this choice
+    # is a function of the isomorphism class
     best = max(range(len(edges)), key=lambda i: edges[i][2])
     u, v, c = edges[best]
+    rest = edges[:best] + edges[best + 1 :]
 
     if c > 1:
         # fewer parallel edges leave a 2-connected block 2-connected, so the
         # deletion is still one block on all n vertices
-        result = _dc_block((n, edges[:best] + ((u, v, c - 1),) + edges[best + 1 :]), memo)
+        result = yield _dc_block((n, edges[:best] + ((u, v, c - 1),) + edges[best + 1 :]), memo)
     else:
-        result = _dc(n, edges[:best] + edges[best + 1 :], memo)
+        result = yield _dc(n, rest, memo)
 
     # v joins u: the classes that meet merge, v is left isolated, and the
     # block split drops it
     merged: dict[tuple[int, int], int] = {}
-    for a, b, cc in edges[:best] + edges[best + 1 :]:
+    for a, b, cc in rest:
         a, b = u if a == v else a, u if b == v else b
         key = (a, b) if a < b else (b, a)
         merged[key] = merged.get(key, 0) + cc
     contracted = tuple((a, b, cc) for (a, b), cc in sorted(merged.items()))
-    cpoly = _dc(n, contracted, memo)
+    cpoly = yield _dc(n, contracted, memo)
     if c > 1:
         cpoly = cpoly.mul_monomial(0, c - 1)
     result = result + cpoly
 
-    if not canonical:
-        memo[cert] = memo[own] = marshal.dumps(result.rows)
+    # one packed value for every key: a pack per key would hold each
+    # polynomial twice
+    memo.update(dict.fromkeys(keys, marshal.dumps(result.rows)))
     return result
 
 
@@ -197,15 +204,14 @@ def _dc(n, edges, memo, canonical=False):
     # all its vertices, that block is the core and _dc_block is told so
     blocks = _block_split(n, edges)
     if canonical and blocks == [(n, edges)]:
-        return _dc_block(blocks[0], memo, canonical=True)
-    # a plain loop: a comprehension would cost a frame per recursion step
+        return (yield _dc_block(blocks[0], memo, canonical=True))
     bridges = 0
     result = None
     for block in blocks:
         if block == _BRIDGE:
             bridges += 1
         else:
-            factor = _dc_block(block, memo)
+            factor = yield _dc_block(block, memo)
             result = factor if result is None else result * factor
     # the bridges, each a factor x, come as one x^k: x^k holds k rows, so a
     # product per bridge would cost quadratically in k
@@ -214,12 +220,36 @@ def _dc(n, edges, memo, canonical=False):
     return result.mul_monomial(bridges, 0) if bridges else result
 
 
+def _run(work):
+    # drives the DC generators from a list, so DC depth is bounded by memory,
+    # not by the interpreter stack.  A generator yields the work of one
+    # sub-core and is sent its polynomial: a polynomial yielded goes straight
+    # back, a generator yielded runs first and its return value goes back
+    stack = [work]
+    value = None
+    while True:
+        try:
+            work = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+            continue
+        if isinstance(work, BivarPoly):
+            value = work
+        else:
+            stack.append(work)
+            value = None
+
+
 def tutte_dc(g: SimpleGraph, memo=None, *, canonical=False) -> BivarPoly:
     """Tutte polynomial by deletion-contraction with iso-keyed memoization.
 
     T is the product of the block polynomials.  The block split walks every
     component, so components and isolated vertices need no pass of their
-    own.
+    own.  The DC steps run from an explicit stack, so the depth DC reaches
+    is bounded by memory, not by the interpreter's recursion limit.
 
     A memo dict may be shared between calls (scan() and certify_maximum
     share one across a class); each entry maps the encoding of a labeled
@@ -232,19 +262,9 @@ def tutte_dc(g: SimpleGraph, memo=None, *, canonical=False) -> BivarPoly:
     since no minor in a class scan has as many edges as a member.  The
     result is exact either way; only the label-independence of the work
     rests on the word being true.
-
-    Recursion deeper than the interpreter allows is refused with
-    BudgetError, naming the largest block and the recursion limit.
     """
     core = tuple((u, v, 1) for u, v in g.edges)
-    try:
-        return _dc(g.n, core, {} if memo is None else memo, canonical)
-    except RecursionError:
-        n, edges = max(_block_split(g.n, core), key=lambda block: len(block[1]))
-        raise BudgetError(
-            f"deletion-contraction of a block with {n} vertices and {len(edges)} edge "
-            f"classes exceeds the recursion limit of {sys.getrecursionlimit()} frames"
-        ) from None
+    return _run(_dc(g.n, core, {} if memo is None else memo, canonical))
 
 
 def tutte_expansion(g: SimpleGraph) -> BivarPoly:

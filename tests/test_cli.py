@@ -1,6 +1,5 @@
 """End-to-end CLI checks: schemas, exit codes, determinism."""
 import importlib
-import inspect
 import json
 import os
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 
 import relpoly
 from relpoly.cli import main
-from relpoly.graphs import fixture, to_graph6
+from relpoly.graphs import SimpleGraph, fixture, to_graph6
 from relpoly.poly import BivarPoly
 from relpoly.tutte import tutte_dc, whitney
 
@@ -404,32 +403,6 @@ def test_budget_refusal_exit_code(capsys):
     assert code == 3
 
 
-def test_deletion_contraction_deeper_than_the_stack_is_a_budget_refusal(capsys, tmp_path):
-    # the wheel W_60 needs about 250 frames of recursion from the top of the
-    # CLI and figure1_G about 40; 150 frames above this test's own depth
-    # refuse the first and answer the second, neither as an internal fault
-    k = 60
-    edges = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
-    path = tmp_path / "w60.txt"
-    path.write_text(f"{k + 1} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    limit = sys.getrecursionlimit()
-    low = len(inspect.stack(0)) + 150
-    sys.setrecursionlimit(low)
-    try:
-        wheel = run_cli(capsys, "counts", "--graph", str(path))
-        small = run_cli(capsys, "counts", "--graph", "fixture:figure1_G")
-    finally:
-        sys.setrecursionlimit(limit)
-    code, out, err = wheel
-    assert code == 3 and not out
-    payload = json.loads(err)
-    assert payload["error"] == "budget"
-    assert "61 vertices" in payload["message"] and f"limit of {low} frames" in payload["message"]
-    code, out, err = small
-    assert code == 0 and not err
-    assert out == run_cli(capsys, "counts", "--graph", "fixture:figure1_G")[1]
-
-
 _SMALL_CALLS = {
     "poly": ["poly", "--graph", "fixture:figure1_G", "--whitney"],
     "counts": ["counts", "--graph", "fixture:figure1_G"],
@@ -440,25 +413,31 @@ _SMALL_CALLS = {
                 "--m", "8"],
     "mc": ["mc", "--graph", "fixture:figure1_G", "--k", "1", "--p", "1/2", "--trials", "1000",
            "--cross-check"],
+    # the wheel W_60: its DC goes deeper than 80 frames of recursion could
+    "counts-W60": ["counts", "--graph", "g6:" + to_graph6(SimpleGraph(
+        61, tuple((i, (i + 1) % 60) for i in range(60)) + tuple((i, 60) for i in range(60))))],
 }
 
 
 @pytest.mark.parametrize("command", sorted(_SMALL_CALLS))
 def test_low_recursion_limit_answers_or_refuses(command):
     # in a fresh process whose recursion limit is lowered after importing the
-    # CLI, every command answers (exit 0) or refuses with a budget error
-    # (exit 3); an internal fault (exit 4) means some step still needs the
+    # CLI, every command answers (exit 0) with the same stdout as at the
+    # default limit; any other exit means some step still needs the
     # interpreter stack, such as a module imported only when a command runs
     src = str(Path(relpoly.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    for limit in (45, 80):
+    outs = {}
+    for limit in (None, 45, 80):
+        lower = "" if limit is None else f"sys.setrecursionlimit({limit})\n"
         code = (
-            "import sys\nfrom relpoly.cli import main\n"
-            f"sys.setrecursionlimit({limit})\nsys.exit(main({_SMALL_CALLS[command]!r}))"
+            f"import sys\nfrom relpoly.cli import main\n{lower}"
+            f"sys.exit(main({_SMALL_CALLS[command]!r}))"
         )
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True)
-        assert run.returncode in (0, 3), (limit, run.stderr)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert run.returncode == 0, (limit, run.stderr)
+        outs[limit] = run.stdout
+    assert outs[45] == outs[80] == outs[None]
 
 
 def test_counts_on_graph_with_over_255_vertices(capsys, tmp_path):

@@ -248,11 +248,22 @@ def test_scan_neither_searches_nor_stores_one_block_members(monkeypatch):
         return original_key(n, mult)
 
     monkeypatch.setattr(tutte_module, "_core_key", counted_key)
+    original_block = tutte_module._dc_block
+    blocks = []
+
+    def counted_block(core, memo, canonical=False):
+        blocks.append(core[0])
+        return original_block(core, memo, canonical)
+
+    monkeypatch.setattr(tutte_module, "_dc_block", counted_block)
     seen = _spied_members(monkeypatch)
     scan(ClassSpec(8, 18))
     # one search per one-block member more (3,861) when members are searched
-    assert len(searches) <= 3239
+    assert len(blocks) == 5529 and len(searches) == 3239
     memo = seen[0][1]
+    # every key of a stored block shares the block's one packed value; a
+    # pack per key would hold more values than the 1,751 blocks expanded
+    assert len(memo) == 4354 and len({id(value) for value in memo.values()}) == 1751
     one_block = 0
     for g, _, _ in seen:
         core = tuple((u, v, 1) for u, v in g.edges)
